@@ -701,33 +701,31 @@ Status CoconutForest::Search(const Snapshot& snapshot, const Value* query,
   QueryScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   const size_t n = options_.tree.summary.series_length;
+  // One collector for the whole query: the memtable's exact top-k is the
+  // first bound every run is pruned against, and each run's answers
+  // tighten it for the runs after it. Runs partition the data, so the
+  // top-k of the union is the global top-k.
   KnnCollector knn(k);
-  uint64_t visited = 0;
-  uint64_t leaves_read = 0;
-  // Memtable: brute force (it is small by construction).
   for (size_t i = 0; i < snapshot.memtable_count; ++i) {
     const MemEntry& e = (*snapshot.memtable)[i];
-    knn.Offer(e.offset, SquaredEuclidean(e.series.data(), query, n));
-    ++visited;
+    knn.Offer(e.offset, SquaredEuclideanEarlyAbandon(e.series.data(), query,
+                                                     n, knn.bound_sq()));
   }
   if (QueryTrace* t = scratch->trace) {
     t->memtable_scanned += snapshot.memtable_count;
     t->records_fetched += snapshot.memtable_count;
   }
-  // Runs: per-run k-NN answers; runs partition the data, so for exact
-  // search the merged top-k is the global top-k.
+  ScanCount count{snapshot.memtable_count, 0};
   for (const auto& run : snapshot.runs) {
-    SearchResult r;
     COCONUT_RETURN_IF_ERROR(
-        exact ? run->ExactSearch(query, num_leaves, &r, k, scratch)
-              : run->ApproxSearch(query, num_leaves, &r, k, scratch));
-    visited += r.visited_records;
-    leaves_read += r.leaves_read;
-    knn.Seed(r);
+        exact ? SimsSearch<CoconutTree>::Exact(*run, query, num_leaves, &knn,
+                                               scratch, &count)
+              : SimsSearch<CoconutTree>::Approx(*run, query, num_leaves, &knn,
+                                                scratch, &count));
   }
   knn.Finalize(result);
-  result->visited_records = visited;
-  result->leaves_read = leaves_read;
+  result->visited_records = count.records;
+  result->leaves_read = count.pages;
   return Status::OK();
 }
 

@@ -10,9 +10,11 @@
 // order, so the merge partitions the key space into chunks and merges the
 // chunks concurrently on the shared ThreadPool.
 //
-// Queries consult the buffer plus every run; exact search merges the
-// per-run exact k-NN answers (each run's SIMS scan is exact over its data
-// and runs partition the dataset, so the merged top-k is the global top-k).
+// Queries consult the buffer plus every run through one k-NN collector:
+// the memtable is scanned first, then every run's SIMS scan (exact search)
+// or leaf window (approximate search) runs against the same bound, so the
+// best answers found so far prune every later run. Runs partition the
+// dataset, so the top-k of the union is the global top-k.
 //
 // Concurrency model (snapshot isolation):
 //  * Writers (Insert/InsertBatch/Flush/CompactAll) are serialized by an
@@ -184,9 +186,11 @@ class CoconutForest {
   /// Captures an immutable snapshot of the current forest state.
   Snapshot GetSnapshot() const;
 
-  /// Exact k nearest neighbors across the memtable and all runs. Each run's
-  /// SIMS search is seeded by its approximate answer over `approx_leaves`
-  /// leaves (1 for the snapshot-less overload).
+  /// Exact k nearest neighbors across the memtable and all runs, with one
+  /// best-so-far bound: the memtable's top-k prunes the first run's SIMS
+  /// scan, and each run's answers prune the runs after it. Each run scans
+  /// the `approx_leaves` leaves around the query first (1 for the
+  /// snapshot-less overload).
   Status ExactSearch(const Value* query, SearchResult* result,
                      size_t k = 1) const;
   Status ExactSearch(const Snapshot& snapshot, const Value* query,

@@ -178,10 +178,7 @@ Status CoconutTree::ReadPage(uint64_t leaf, std::vector<uint8_t>* page,
     }
     ChecksumVerifiedCounter()->Increment();
   }
-  const uint64_t epl = super_.entries_per_leaf;
-  *entry_count = (leaf + 1 == super_.num_leaves)
-                     ? static_cast<size_t>(super_.num_entries - leaf * epl)
-                     : static_cast<size_t>(epl);
+  *entry_count = static_cast<size_t>(PageEntries(leaf).size());
   return Status::OK();
 }
 

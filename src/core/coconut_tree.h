@@ -8,10 +8,11 @@
 //  * ApproxSearch (Algorithm 4): descend to the leaf where the query's
 //    invSAX key would reside and compute true distances over a window of
 //    neighboring (contiguous) leaves.
-//  * ExactSearch (Algorithm 5, "CoconutTreeSIMS"): seed a best-so-far with
-//    the approximate answer, compute lower bounds over the in-memory
-//    summarization array with parallel threads, then perform a
-//    skip-sequential pass over the data fetching only unpruned series.
+//  * ExactSearch (Algorithm 5, "CoconutTreeSIMS"): compute lower bounds over
+//    the in-memory summarization array with parallel threads, then perform
+//    a skip-sequential pass over the data fetching only unpruned series,
+//    starting with the leaf window the approximate search would scan so
+//    that its near neighbours set the pruning bound early.
 //
 // Both run through the loops shared with Coconut-Trie (sims_common.h); the
 // tree supplies only its routing, leaf reader, and entry -> leaf mapping.
@@ -31,6 +32,7 @@
 #ifndef COCONUT_CORE_COCONUT_TREE_H_
 #define COCONUT_CORE_COCONUT_TREE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -88,8 +90,10 @@ class CoconutTree {
                                                  result, scratch);
   }
 
-  /// Exact k-NN search via CoconutTreeSIMS. `approx_leaves` is the radius
-  /// given to the seeding approximate search.
+  /// Exact k-NN search via CoconutTreeSIMS. The entries of the
+  /// `approx_leaves` leaves around the query's position are scanned first;
+  /// every entry, those included, is fetched only if its lower bound beats
+  /// the k-th best distance so far.
   Status ExactSearch(const Value* query, size_t approx_leaves,
                      SearchResult* result, size_t k = 1,
                      QueryScratch* scratch = nullptr) const {
@@ -140,6 +144,11 @@ class CoconutTree {
   Status Route(const ZKey& key, uint64_t* page) const {
     *page = LocateLeaf(key);
     return Status::OK();
+  }
+  EntryRange PageEntries(uint64_t leaf) const {
+    const uint64_t begin = leaf * super_.entries_per_leaf;
+    return EntryRange{begin, std::min(begin + super_.entries_per_leaf,
+                                      super_.num_entries)};
   }
   PageSlot EntryPage(uint64_t i) const {
     return PageSlot{i / super_.entries_per_leaf,

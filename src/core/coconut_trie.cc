@@ -482,13 +482,19 @@ Status CoconutTrie::ReadPage(uint64_t page, std::vector<uint8_t>* buf,
   COCONUT_RETURN_IF_ERROR(
       index_file_->Read(kSuperblockBytes + page * super_.leaf_page_bytes,
                         super_.leaf_page_bytes, buf->data()));
-  const Node& leaf = nodes_[leaf_order_[page_owner_[page]]];
-  const uint64_t page_in_leaf = page - leaf.first_page;
-  const uint64_t before = page_in_leaf * super_.leaf_capacity;
-  *entry_count = static_cast<size_t>(std::min<uint64_t>(
-      super_.leaf_capacity,
-      leaf.entry_count > before ? leaf.entry_count - before : 0));
+  *entry_count = static_cast<size_t>(PageEntries(page).size());
   return Status::OK();
+}
+
+EntryRange CoconutTrie::PageEntries(uint64_t page) const {
+  const Node& leaf = nodes_[leaf_order_[page_owner_[page]]];
+  const uint64_t before = (page - leaf.first_page) * super_.leaf_capacity;
+  const uint64_t count =
+      std::min<uint64_t>(super_.leaf_capacity,
+                         leaf.entry_count > before ? leaf.entry_count - before
+                                                   : 0);
+  const uint64_t begin = leaf.entry_begin + before;
+  return EntryRange{begin, begin + count};
 }
 
 PageSlot CoconutTrie::EntryPage(uint64_t i) const {

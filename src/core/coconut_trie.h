@@ -152,6 +152,7 @@ class CoconutTrie {
   Status Route(const ZKey& key, uint64_t* page) const;
   Status ReadPage(uint64_t page, std::vector<uint8_t>* buf,
                   size_t* entry_count) const;
+  EntryRange PageEntries(uint64_t page) const;
   PageSlot EntryPage(uint64_t i) const;
   RawSeriesFile* raw_file() const { return raw_file_.get(); }
   Status Sims(const SimsArrays** out) const;

@@ -116,27 +116,36 @@ Status SimsArrays::Load(uint64_t n, size_t w,
 }
 
 template <class Index>
-Status SimsSearch<Index>::Approx(const Index& index, const Value* query,
-                                 size_t num_pages, KnnCollector* knn,
-                                 QueryScratch* scratch, ScanCount* count) {
-  QueryTrace* const trace = scratch->trace;
-  Stopwatch stage;  // consulted only when tracing
-  TraceStages spans;
+Status SimsSearch<Index>::Route(const Index& index, const Value* query,
+                                QueryScratch* scratch, TraceStages* spans,
+                                Stopwatch* stage, uint64_t* page) {
   const SummaryOptions& sum = index.options().summary;
   scratch->Prepare(sum.series_length, sum.segments);
   PaaTransform(query, sum.series_length, sum.segments, scratch->paa.data());
   SaxFromPaa(scratch->paa.data(), sum, scratch->sax.data());
+  COCONUT_RETURN_IF_ERROR(
+      index.Route(InvSaxFromSax(scratch->sax.data(), sum), page));
+  spans->Mark("search.route", "query");
+  if (scratch->trace != nullptr) {
+    scratch->trace->route_ns += stage->ElapsedNanos();
+    stage->Restart();
+  }
+  return Status::OK();
+}
+
+template <class Index>
+Status SimsSearch<Index>::Approx(const Index& index, const Value* query,
+                                 size_t num_pages, KnnCollector* knn,
+                                 QueryScratch* scratch, ScanCount* count) {
+  Stopwatch stage;  // consulted only when tracing
+  TraceStages spans;
   uint64_t target;
   COCONUT_RETURN_IF_ERROR(
-      index.Route(InvSaxFromSax(scratch->sax.data(), sum), &target));
-  spans.Mark("search.route", "query");
-  if (trace != nullptr) {
-    trace->route_ns += stage.ElapsedNanos();
-    stage.Restart();
-  }
+      Route(index, query, scratch, &spans, &stage, &target));
 
   const LeafWindow window =
       LeafWindow::Centered(target, num_pages, index.num_pages());
+  const size_t series_length = index.options().summary.series_length;
   const size_t entry_bytes = index.entry_bytes();
   const bool materialized = index.options().materialized;
   RawSeriesFile* const raw = index.raw_file();
@@ -158,15 +167,14 @@ Status SimsSearch<Index>::Approx(const Index& index, const Value* query,
         series = scratch->fetch.data();
       }
       knn->Offer(offset, SquaredEuclideanEarlyAbandon(
-                             series, query, sum.series_length,
-                             knn->bound_sq()));
+                             series, query, series_length, knn->bound_sq()));
       ++visited;
     }
   }
   count->records += visited;
   count->pages += window.size();
   spans.Mark("search.approx", "query");
-  if (trace != nullptr) {
+  if (QueryTrace* trace = scratch->trace) {
     trace->approx_ns += stage.ElapsedNanos();
     trace->leaves_visited += window.size();
     trace->records_fetched += visited;
@@ -175,28 +183,36 @@ Status SimsSearch<Index>::Approx(const Index& index, const Value* query,
 }
 
 template <class Index>
-Status SimsSearch<Index>::Refine(const Index& index, const Value* query,
-                                 KnnCollector* knn, QueryScratch* scratch,
-                                 ScanCount* count) {
+Status SimsSearch<Index>::Exact(const Index& index, const Value* query,
+                                size_t window_pages, KnnCollector* knn,
+                                QueryScratch* scratch, ScanCount* count) {
+  // Lines 3-4: the in-memory summarizations, loaded once per index.
   const SimsArrays* sims;
   COCONUT_RETURN_IF_ERROR(index.Sims(&sims));
-  QueryTrace* const trace = scratch->trace;
   Stopwatch stage;  // consulted only when tracing
   TraceStages spans;
-  const CoconutOptions& options = index.options();
-  const SummaryOptions& sum = options.summary;
-  scratch->Prepare(sum.series_length, sum.segments);
-  PaaTransform(query, sum.series_length, sum.segments, scratch->paa.data());
+  uint64_t target;
+  COCONUT_RETURN_IF_ERROR(
+      Route(index, query, scratch, &spans, &stage, &target));
+  const uint64_t n = index.num_entries();
+  const LeafWindow window =
+      LeafWindow::Centered(target, window_pages, index.num_pages());
+  // Clamped so that page metadata can never index past the SIMS arrays.
+  const uint64_t window_end = std::min(index.PageEntries(window.hi).end, n);
+  const uint64_t window_begin =
+      std::min(index.PageEntries(window.lo).begin, window_end);
 
   // Lines 8-10: lower bounds for every entry, in parallel.
-  const uint64_t n = index.num_entries();
+  const CoconutOptions& options = index.options();
+  const SummaryOptions& sum = options.summary;
   ParallelMindists(scratch->paa.data(), sims->sax(), n, sum,
                    options.EffectiveThreads(), &scratch->mindists);
 
-  // Lines 12-19: skip-sequential scan in entry order, fetching only the
-  // entries whose lower bound beats the k-th best distance. The bound only
-  // moves when an Offer lands, so it is re-read after each fetch.
+  // Lines 12-19: skip-sequential scan fetching only the entries whose lower
+  // bound beats the k-th best distance. The bound only moves when an Offer
+  // lands, so it is re-read after each fetch.
   const double* mindists = scratch->mindists.data();
+  const uint64_t* offsets = sims->offsets();
   const size_t entry_bytes = index.entry_bytes();
   const bool materialized = options.materialized;
   RawSeriesFile* const raw = index.raw_file();
@@ -204,40 +220,48 @@ Status SimsSearch<Index>::Refine(const Index& index, const Value* query,
   uint64_t cached_page = std::numeric_limits<uint64_t>::max();
   uint64_t visited = 0;
   uint64_t pages_read = 0;
-  double bound = knn->bound_sq();
-  for (uint64_t i = 0; i < n; ++i) {
-    if (mindists[i] >= bound) continue;
-    uint64_t offset;
-    const Value* series;
-    if (materialized) {
-      const PageSlot at = index.EntryPage(i);
-      if (at.page != cached_page) {
-        COCONUT_CHECK_CONTEXT(scratch->context, "search.exact.page");
-        size_t cnt;
-        COCONUT_RETURN_IF_ERROR(index.ReadPage(at.page, &page, &cnt));
-        cached_page = at.page;
-        ++pages_read;
+  const auto scan = [&](uint64_t begin, uint64_t end) -> Status {
+    double bound = knn->bound_sq();
+    for (uint64_t i = begin; i < end; ++i) {
+      if (mindists[i] >= bound) continue;
+      uint64_t offset;
+      const Value* series;
+      if (materialized) {
+        const PageSlot at = index.EntryPage(i);
+        if (at.page != cached_page) {
+          COCONUT_CHECK_CONTEXT(scratch->context, "search.exact.page");
+          size_t cnt;
+          COCONUT_RETURN_IF_ERROR(index.ReadPage(at.page, &page, &cnt));
+          cached_page = at.page;
+          ++pages_read;
+        }
+        const uint8_t* entry = page.data() + at.slot * entry_bytes;
+        offset = DecodeLeafEntryOffset(entry);
+        series = LeafEntrySeries(entry);
+      } else {
+        // Each unpruned entry is a raw-file read, so the per-fetch poll
+        // stays proportionate to real I/O.
+        COCONUT_CHECK_CONTEXT(scratch->context, "search.exact.fetch");
+        offset = offsets[i];
+        COCONUT_RETURN_IF_ERROR(raw->ReadAt(offset, scratch->fetch.data()));
+        series = scratch->fetch.data();
       }
-      const uint8_t* entry = page.data() + at.slot * entry_bytes;
-      offset = DecodeLeafEntryOffset(entry);
-      series = LeafEntrySeries(entry);
-    } else {
-      // Each unpruned entry is a raw-file read, so the per-fetch poll stays
-      // proportionate to real I/O.
-      COCONUT_CHECK_CONTEXT(scratch->context, "search.exact.fetch");
-      offset = sims->offsets()[i];
-      COCONUT_RETURN_IF_ERROR(raw->ReadAt(offset, scratch->fetch.data()));
-      series = scratch->fetch.data();
+      knn->Offer(offset, SquaredEuclideanEarlyAbandon(
+                             series, query, sum.series_length, bound));
+      bound = knn->bound_sq();
+      ++visited;
     }
-    knn->Offer(offset, SquaredEuclideanEarlyAbandon(
-                           series, query, sum.series_length, bound));
-    bound = knn->bound_sq();
-    ++visited;
-  }
+    return Status::OK();
+  };
+  // The query's own window first, so its near neighbours set the bound the
+  // rest of the index is pruned against; then everything before and after.
+  COCONUT_RETURN_IF_ERROR(scan(window_begin, window_end));
+  COCONUT_RETURN_IF_ERROR(scan(0, window_begin));
+  COCONUT_RETURN_IF_ERROR(scan(window_end, n));
   count->records += visited;
   count->pages += pages_read;
   spans.Mark("search.refine", "query");
-  if (trace != nullptr) {
+  if (QueryTrace* trace = scratch->trace) {
     trace->refine_ns += stage.ElapsedNanos();
     trace->leaves_visited += pages_read;
     trace->records_fetched += visited;
@@ -265,22 +289,15 @@ Status SimsSearch<Index>::ApproxSearch(const Index& index, const Value* query,
 
 template <class Index>
 Status SimsSearch<Index>::ExactSearch(const Index& index, const Value* query,
-                                      size_t approx_pages, size_t k,
+                                      size_t window_pages, size_t k,
                                       SearchResult* result,
                                       QueryScratch* scratch) {
   QueryScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
-  // Lines 3-4: load the in-memory summarizations once.
-  const SimsArrays* sims;
-  COCONUT_RETURN_IF_ERROR(index.Sims(&sims));
-  // Line 6: seed the best-so-far set with the approximate answers.
-  SearchResult approx;
-  COCONUT_RETURN_IF_ERROR(
-      ApproxSearch(index, query, approx_pages, k, &approx, scratch));
   KnnCollector knn(k);
-  knn.Seed(approx);
-  ScanCount count{approx.visited_records, approx.leaves_read};
-  COCONUT_RETURN_IF_ERROR(Refine(index, query, &knn, scratch, &count));
+  ScanCount count;
+  COCONUT_RETURN_IF_ERROR(
+      Exact(index, query, window_pages, &knn, scratch, &count));
   knn.Finalize(result);
   result->visited_records = count.records;
   result->leaves_read = count.pages;

@@ -8,13 +8,19 @@
 //    query's target page ("all data series in a specific radius").
 //  * SimsSearch<Index>::Approx: routes the query to its target page and
 //    scans the window.
-//  * SimsSearch<Index>::Refine: Algorithm 5 lines 8-19. Lower bounds for
+//  * SimsSearch<Index>::Exact: Algorithm 5 as one pass. Lower bounds for
 //    every entry from the in-memory SAX array (in parallel), then a
-//    skip-sequential scan in entry order that fetches only the entries whose
-//    bound beats the current k-th best distance: from the leaf page when the
-//    index is materialized, from the raw file by offset otherwise.
+//    skip-sequential scan that fetches only the entries whose bound beats
+//    the current k-th best distance: from the leaf page when the index is
+//    materialized, from the raw file by offset otherwise. The scan takes
+//    the entries of the query's LeafWindow first, then the entries before
+//    it, then those after it. The window's near neighbours tighten the
+//    bound early, as the paper's approximate seed (line 6) does, but every
+//    window entry still passes the lower-bound check, so no separate
+//    approximate pass fetches records the bound would have pruned.
 //  * SimsSearch<Index>::ApproxSearch / ExactSearch: the indexes' whole
-//    ApproxSearch and ExactSearch, built from the three above.
+//    ApproxSearch and ExactSearch, each one of the above into a fresh
+//    collector.
 //  * ParallelMindists: the parallel lower-bound pass (line 10), also used by
 //    the ADS baseline.
 //
@@ -25,20 +31,23 @@
 //   Route(key, &page)            -- its routing (tree or trie descent);
 //   ReadPage(p, &buf, &count)    -- its page reader, with its own bounds
 //                                   and checksum checks;
+//   PageEntries(p) -> EntryRange -- the sorted entries page p holds;
 //   EntryPage(i) -> PageSlot     -- where sorted entry i lives;
 //   raw_file()                   -- non-materialized entries come from it;
 //   Sims(&arrays)                -- loads its SimsArrays once.
 //
-// External-collector contract: Approx and Refine write into a
-// caller-owned KnnCollector. They read its bound (knn->bound_sq()) to prune
-// and early-abandon, and Offer every entry they fetch; they never reset,
+// External-collector contract: Approx and Exact write into a caller-owned
+// KnnCollector. They read its bound (knn->bound_sq()) to prune and
+// early-abandon, and Offer every entry they fetch; they never reset,
 // finalize, or shrink it. A caller may therefore seed one collector from
-// several sources (approximate answers of several runs, a memtable scan)
-// and refine several indexes against the same shared bound. Re-offering an
-// offset already collected is a no-op, so seeding from an approximate pass
-// over the same index is safe. Each routine adds the records it fetched and
-// the pages it read to a caller ScanCount and to scratch->trace (when set).
-// It polls scratch->context at page and fetch granularity under the names
+// several sources and run several indexes against the same shared bound:
+// CoconutForest scans its memtable into one collector and then runs Exact
+// over every run against it, so the best answers of one part prune the
+// others. Exact stays exact for any starting bound, because it only skips
+// entries whose lower bound cannot beat the collector's k-th best. Each
+// routine adds the records it fetched and the pages it read to a caller
+// ScanCount and to scratch->trace (when set). It polls scratch->context at
+// page and fetch granularity under the names
 // search.{approx,exact}.{page,fetch}, and marks the spans search.route,
 // search.approx and search.refine.
 #ifndef COCONUT_CORE_SIMS_COMMON_H_
@@ -60,6 +69,9 @@
 #include "src/summary/options.h"
 
 namespace coconut {
+
+class Stopwatch;
+class TraceStages;
 
 /// Computes MindistSqPaaToSax(query_paa, sax[i]) for every i in [0, n) into
 /// `out` (resized), splitting the range across `threads` workers.
@@ -114,6 +126,14 @@ class SimsArrays {
   mutable std::vector<uint64_t> offsets_;  // n
 };
 
+/// Sorted entries [begin, end) of a paged index.
+struct EntryRange {
+  uint64_t begin;
+  uint64_t end;
+
+  uint64_t size() const { return end - begin; }
+};
+
 /// Where sorted entry i lives in a paged index.
 struct PageSlot {
   uint64_t page;
@@ -135,22 +155,30 @@ struct SimsSearch {
                        size_t num_pages, KnnCollector* knn,
                        QueryScratch* scratch, ScanCount* count);
 
-  /// Algorithm 5 lines 8-19 against `knn`'s current bound (seed it first).
-  static Status Refine(const Index& index, const Value* query,
-                       KnnCollector* knn, QueryScratch* scratch,
-                       ScanCount* count);
+  /// Algorithm 5 against `knn`'s current bound: loads the SIMS arrays,
+  /// routes `query` to its target page, and runs the skip-sequential scan
+  /// over the entries of the LeafWindow of `window_pages` pages around it
+  /// first, then over the rest of the index. Reports route and refine time;
+  /// counts only the pages it actually reads (none when non-materialized).
+  static Status Exact(const Index& index, const Value* query,
+                      size_t window_pages, KnnCollector* knn,
+                      QueryScratch* scratch, ScanCount* count);
 
-  /// Approximate k-NN: Approx into a fresh collector. These two whole
-  /// searches accept a null `scratch` (they then use a local one).
+  /// Approximate / exact k-NN: Approx / Exact into a fresh collector.
+  /// Both accept a null `scratch` (they then use a local one).
   static Status ApproxSearch(const Index& index, const Value* query,
                              size_t num_pages, size_t k, SearchResult* result,
                              QueryScratch* scratch);
-
-  /// Exact k-NN (Algorithm 5): loads the SIMS arrays, seeds a collector
-  /// with the approximate answer over `approx_pages` pages, then refines.
   static Status ExactSearch(const Index& index, const Value* query,
-                            size_t approx_pages, size_t k,
+                            size_t window_pages, size_t k,
                             SearchResult* result, QueryScratch* scratch);
+
+ private:
+  /// PAA -> SAX -> invSAX -> the index's descent: the query's target page.
+  /// Leaves the query's PAA in scratch->paa and accounts the route stage.
+  static Status Route(const Index& index, const Value* query,
+                      QueryScratch* scratch, TraceStages* spans,
+                      Stopwatch* stage, uint64_t* page);
 };
 
 }  // namespace coconut

@@ -49,8 +49,8 @@ struct QuerySpec {
   Mode mode = Mode::kExact;
   /// Neighbors to return per query.
   size_t k = 1;
-  /// Leaf-window radius: the window for kApprox, the seeding radius for
-  /// kExact.
+  /// Leaf-window radius: the window scanned for kApprox; for kExact, the
+  /// window whose entries the SIMS scan takes first.
   size_t approx_leaves = 1;
 };
 

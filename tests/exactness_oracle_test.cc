@@ -1,7 +1,13 @@
-// Seeded differential oracle for exact k-NN: Coconut-Tree and Coconut-Trie,
-// each materialized and not, must return the brute-force top-k distances
-// for randomized k, approximate seeding radius, leaf capacity, segments,
-// and cardinality — over data with duplicate series and tied distances.
+// Seeded differential oracle for exact k-NN. Every exact path must return
+// the brute-force top-k distances for randomized k, leaf window, leaf
+// capacity, segments, and cardinality, over data with duplicate series and
+// tied distances:
+//  * Coconut-Tree and Coconut-Trie, each materialized and not;
+//  * a CoconutForest with a memtable plus several runs, where duplicates
+//    and ties straddle the memtable and a run, and one query's true
+//    neighbours all sit in the memtable (its bound must prune the runs);
+//  * a ShardedStore with 1, 2 and 4 shards of the same shape, through
+//    QueryEngine on 1-thread and 4-thread pools.
 // Ties make neighbor ids ambiguous, so the oracle compares the sorted
 // distance multisets. Each search also checks the fig09f cross-check:
 // QueryTrace.records_fetched equals SearchResult.visited_records.
@@ -12,10 +18,14 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "src/core/coconut_forest.h"
 #include "src/core/coconut_tree.h"
 #include "src/core/coconut_trie.h"
 #include "src/core/query_scratch.h"
+#include "src/exec/query_engine.h"
+#include "src/exec/thread_pool.h"
 #include "src/series/dataset.h"
+#include "src/store/sharded_store.h"
 #include "tests/test_util.h"
 
 namespace coconut {
@@ -27,6 +37,9 @@ using testing::ScratchDir;
 constexpr size_t kLength = 64;
 constexpr size_t kKs[] = {1, 7, 50};
 constexpr size_t kApproxLeaves[] = {1, 3};
+constexpr size_t kRuns = 3;
+constexpr size_t kShards[] = {1, 2, 4};
+constexpr size_t kThreads[] = {1, 4};
 
 /// One randomized configuration, derived entirely from its seed.
 struct OracleCase {
@@ -41,6 +54,21 @@ struct Workload {
   std::vector<Series> data;
   std::vector<Series> queries;
 };
+
+/// Appends a pair of series at equal distance on either side of `query`.
+void AddTiedPair(const Series& query, std::normal_distribution<float>* noise,
+                 std::mt19937_64* rng, std::vector<Series>* plus_to,
+                 std::vector<Series>* minus_to) {
+  Series plus = query;
+  Series minus = query;
+  for (size_t j = 0; j < kLength; ++j) {
+    const float delta = (*noise)(*rng);
+    plus[j] += delta;
+    minus[j] -= delta;
+  }
+  plus_to->push_back(plus);
+  minus_to->push_back(minus);
+}
 
 Workload MakeWorkload(std::mt19937_64* rng) {
   Workload w;
@@ -59,20 +87,58 @@ Workload MakeWorkload(std::mt19937_64* rng) {
   for (int q = 0; q < 3; ++q) {
     const Series query = gen->NextSeries();
     for (int pair = 0; pair < 4; ++pair) {
-      Series plus = query;
-      Series minus = query;
-      for (size_t j = 0; j < kLength; ++j) {
-        const float delta = noise(*rng);
-        plus[j] += delta;
-        minus[j] -= delta;
-      }
-      w.data.push_back(plus);
-      w.data.push_back(minus);
+      AddTiedPair(query, &noise, rng, &w.data, &w.data);
     }
     w.queries.push_back(query);
   }
   std::shuffle(w.data.begin(), w.data.end(), *rng);
   return w;
+}
+
+/// A workload split into kRuns groups that are flushed as runs, then one
+/// group left in the memtable. Duplicates and tied pairs straddle a run and
+/// the memtable, and the last query's 50 nearest neighbours are a tight
+/// cluster inside the memtable.
+struct LayeredWorkload {
+  Workload all;                             // every series, and the queries
+  std::vector<std::vector<Series>> groups;  // kRuns runs, then the memtable
+};
+
+LayeredWorkload MakeLayeredWorkload(std::mt19937_64* rng) {
+  LayeredWorkload lw;
+  lw.all = MakeWorkload(rng);
+  const size_t n = lw.all.data.size();
+  lw.groups.resize(kRuns + 1);
+  for (size_t i = 0; i < n; ++i) {
+    lw.groups[i * (kRuns + 1) / n].push_back(lw.all.data[i]);
+  }
+  // Series bound for the memtable (and for `all` once the runs are done).
+  std::vector<Series> memtable;
+  for (size_t r = 0; r < kRuns; ++r) {
+    memtable.push_back(lw.groups[r][(*rng)() % lw.groups[r].size()]);
+  }
+  auto gen = MakeGenerator(DatasetKind::kRandomWalk, kLength, (*rng)());
+  std::normal_distribution<float> noise(0.0f, 0.3f);
+  const Series tied_query = gen->NextSeries();
+  for (size_t pair = 0; pair < 4; ++pair) {
+    std::vector<Series>& run = lw.groups[pair % kRuns];
+    AddTiedPair(tied_query, &noise, rng, &run, &memtable);
+    lw.all.data.push_back(run.back());
+  }
+  lw.all.queries.push_back(tied_query);
+  const Series cluster_query = gen->NextSeries();
+  std::normal_distribution<float> tight(0.0f, 0.01f);
+  for (size_t c = 0; c < 50; ++c) {
+    Series near = cluster_query;
+    for (Value& v : near) v += tight(*rng);
+    memtable.push_back(near);
+  }
+  lw.all.queries.push_back(cluster_query);
+  for (const Series& s : memtable) {
+    lw.groups[kRuns].push_back(s);
+    lw.all.data.push_back(s);
+  }
+  return lw;
 }
 
 CoconutOptions MakeOptions(std::mt19937_64* rng, bool materialized,
@@ -89,13 +155,40 @@ CoconutOptions MakeOptions(std::mt19937_64* rng, bool materialized,
   return opts;
 }
 
-template <typename Index>
-void CheckAgainstOracle(const Index& index, const Workload& w,
-                        const std::string& label) {
+std::string Label(const OracleCase& c, const CoconutOptions& opts,
+                  const Workload& w) {
+  return "seed=" + std::to_string(c.seed) +
+         " segments=" + std::to_string(opts.summary.segments) +
+         " bits=" + std::to_string(opts.summary.cardinality_bits) +
+         " capacity=" + std::to_string(opts.leaf_capacity) +
+         " n=" + std::to_string(w.data.size());
+}
+
+/// `r` holds the brute-force top-k distances of `query`, and its trace
+/// counted the records it fetched.
+void ExpectOracleAnswer(const Workload& w, const Series& query, size_t k,
+                        const SearchResult& r, const QueryTrace& trace) {
+  EXPECT_EQ(trace.records_fetched, r.visited_records);
+  const auto oracle = BruteForceKnn(w.data, query, k);
+  ASSERT_EQ(r.neighbors.size(), oracle.size());
+  std::vector<double> got;
+  for (const Neighbor& nb : r.neighbors) got.push_back(nb.distance);
+  std::sort(got.begin(), got.end());
+  for (size_t i = 0; i < oracle.size(); ++i) {
+    EXPECT_NEAR(got[i], oracle[i].second,
+                1e-4 * std::max(1.0, oracle[i].second))
+        << "rank " << i;
+  }
+}
+
+/// Runs `search(query, approx_leaves, k, &result, &scratch)` for every
+/// query, k and window against the oracle.
+template <typename SearchFn>
+void CheckAgainstOracle(const Workload& w, const std::string& label,
+                        const SearchFn& search) {
   for (size_t qi = 0; qi < w.queries.size(); ++qi) {
     const Series& query = w.queries[qi];
     for (size_t k : kKs) {
-      const auto oracle = BruteForceKnn(w.data, query, k);
       for (size_t approx_leaves : kApproxLeaves) {
         SCOPED_TRACE(label + " query=" + std::to_string(qi) +
                      " k=" + std::to_string(k) +
@@ -104,21 +197,19 @@ void CheckAgainstOracle(const Index& index, const Workload& w,
         QueryTrace trace;
         scratch.trace = &trace;
         SearchResult r;
-        ASSERT_OK(index.ExactSearch(query.data(), approx_leaves, &r, k,
-                                    &scratch));
-        EXPECT_EQ(trace.records_fetched, r.visited_records);
-        ASSERT_EQ(r.neighbors.size(), oracle.size());
-        std::vector<double> got;
-        for (const Neighbor& nb : r.neighbors) got.push_back(nb.distance);
-        std::sort(got.begin(), got.end());
-        for (size_t i = 0; i < oracle.size(); ++i) {
-          EXPECT_NEAR(got[i], oracle[i].second,
-                      1e-4 * std::max(1.0, oracle[i].second))
-              << "rank " << i;
-        }
+        ASSERT_OK(search(query.data(), approx_leaves, k, &r, &scratch));
+        ExpectOracleAnswer(w, query, k, r, trace);
       }
     }
   }
+}
+
+template <typename Index>
+auto IndexSearch(const Index& index) {
+  return [&index](const Value* q, size_t approx_leaves, size_t k,
+                  SearchResult* r, QueryScratch* scratch) {
+    return index.ExactSearch(q, approx_leaves, r, k, scratch);
+  };
 }
 
 class ExactnessOracle : public ::testing::TestWithParam<OracleCase> {};
@@ -132,22 +223,104 @@ TEST_P(ExactnessOracle, TreeAndTrieMatchBruteForce) {
   ASSERT_OK(AppendToDataset(raw, w.data));
   const CoconutOptions opts = MakeOptions(&rng, c.materialized, dir.path());
   ASSERT_OK(opts.Validate());
-  const std::string label =
-      "seed=" + std::to_string(c.seed) +
-      " segments=" + std::to_string(opts.summary.segments) +
-      " bits=" + std::to_string(opts.summary.cardinality_bits) +
-      " capacity=" + std::to_string(opts.leaf_capacity) +
-      " n=" + std::to_string(w.data.size());
+  const std::string label = Label(c, opts, w);
 
   ASSERT_OK(CoconutTree::Build(raw, dir.File("i.ctree"), opts));
   std::unique_ptr<CoconutTree> tree;
   ASSERT_OK(CoconutTree::Open(dir.File("i.ctree"), raw, &tree));
-  CheckAgainstOracle(*tree, w, "tree " + label);
+  CheckAgainstOracle(w, "tree " + label, IndexSearch(*tree));
 
   ASSERT_OK(CoconutTrie::Build(raw, dir.File("i.ctrie"), opts));
   std::unique_ptr<CoconutTrie> trie;
   ASSERT_OK(CoconutTrie::Open(dir.File("i.ctrie"), raw, &trie));
-  CheckAgainstOracle(*trie, w, "trie " + label);
+  CheckAgainstOracle(w, "trie " + label, IndexSearch(*trie));
+}
+
+TEST_P(ExactnessOracle, ForestMatchesBruteForce) {
+  const OracleCase& c = GetParam();
+  std::mt19937_64 rng(c.seed);
+  ScratchDir dir;
+  const LayeredWorkload lw = MakeLayeredWorkload(&rng);
+  ForestOptions opts;
+  opts.tree = MakeOptions(&rng, c.materialized, dir.path());
+  opts.memtable_series = 4096;  // only the explicit flushes cut runs
+  opts.max_runs = 8;
+  std::unique_ptr<CoconutForest> forest;
+  ASSERT_OK(CoconutForest::Open(dir.File("data.bin"), dir.File("forest"),
+                                opts, &forest));
+  for (size_t g = 0; g < lw.groups.size(); ++g) {
+    ASSERT_OK(forest->InsertBatch(lw.groups[g]));
+    if (g < kRuns) ASSERT_OK(forest->Flush());
+  }
+  const CoconutForest::Snapshot snap = forest->GetSnapshot();
+  ASSERT_EQ(snap.runs.size(), kRuns);
+  ASSERT_EQ(snap.memtable_count, lw.groups[kRuns].size());
+
+  const auto search = [&](const Value* q, size_t approx_leaves, size_t k,
+                          SearchResult* r, QueryScratch* scratch) {
+    return forest->ExactSearch(snap, q, approx_leaves, r, k, scratch);
+  };
+  CheckAgainstOracle(lw.all, "forest " + Label(c, opts.tree, lw.all), search);
+
+  // The cluster query's neighbours all sit in the memtable, so the bound the
+  // memtable scan leaves behind prunes run entries before any is fetched.
+  for (size_t k : kKs) {
+    QueryScratch scratch;
+    QueryTrace trace;
+    scratch.trace = &trace;
+    SearchResult r;
+    ASSERT_OK(search(lw.all.queries.back().data(), 1, k, &r, &scratch));
+    EXPECT_GT(trace.pruned_mindist, 0u) << "k=" << k;
+  }
+}
+
+TEST_P(ExactnessOracle, StoreThroughQueryEngineMatchesBruteForce) {
+  const OracleCase& c = GetParam();
+  std::mt19937_64 rng(c.seed);
+  const LayeredWorkload lw = MakeLayeredWorkload(&rng);
+  const CoconutOptions tree = MakeOptions(&rng, c.materialized, "");
+  for (size_t shards : kShards) {
+    ScratchDir dir;
+    StoreOptions opts;
+    opts.num_shards = shards;
+    opts.forest.tree = tree;
+    opts.forest.tree.tmp_dir = dir.path();
+    opts.forest.memtable_series = 4096;
+    opts.forest.max_runs = 8;
+    std::unique_ptr<ShardedStore> store;
+    ASSERT_OK(ShardedStore::Open(dir.File("store"), opts, &store));
+    for (size_t g = 0; g < lw.groups.size(); ++g) {
+      ASSERT_OK(store->InsertBatch(lw.groups[g]));
+      if (g < kRuns) ASSERT_OK(store->Flush());
+    }
+    const ShardedStore::Snapshot snap = store->GetSnapshot();
+    for (size_t threads : kThreads) {
+      ThreadPool pool(threads);
+      QueryEngine engine(&pool);
+      for (size_t k : kKs) {
+        for (size_t approx_leaves : kApproxLeaves) {
+          SCOPED_TRACE("store " + Label(c, tree, lw.all) +
+                       " shards=" + std::to_string(shards) +
+                       " threads=" + std::to_string(threads) +
+                       " k=" + std::to_string(k) +
+                       " approx_leaves=" + std::to_string(approx_leaves));
+          QuerySpec spec;
+          spec.mode = QuerySpec::Mode::kExact;
+          spec.k = k;
+          spec.approx_leaves = approx_leaves;
+          std::vector<SearchResult> results;
+          std::vector<QueryTrace> traces;
+          ASSERT_OK(engine.ExecuteBatch(*store, snap, lw.all.queries, spec,
+                                        &results, &traces));
+          for (size_t qi = 0; qi < lw.all.queries.size(); ++qi) {
+            SCOPED_TRACE("query=" + std::to_string(qi));
+            ExpectOracleAnswer(lw.all, lw.all.queries[qi], k, results[qi],
+                               traces[qi]);
+          }
+        }
+      }
+    }
+  }
 }
 
 std::vector<OracleCase> Cases() {

@@ -271,9 +271,9 @@ TEST(QueryEngine, ForestBatchOn4ThreadsMatchesSerialExecution) {
 }
 
 TEST(QueryEngine, ForestExactBatchHonorsApproxLeaves) {
-  // Every run's SIMS search is seeded by an approximate pass over
-  // `approx_leaves` leaves, so a non-materialized forest batch must visit
-  // at least that many leaves per run and still return exact answers.
+  // `approx_leaves` sets the window of leaves each run's SIMS scan takes
+  // first. Any window, from one leaf to a whole run, must leave the answers
+  // exact and the trace's fetch count equal to the result's.
   ScratchDir dir;
   ForestOptions opts;
   opts.tree.summary.series_length = 64;
@@ -291,9 +291,12 @@ TEST(QueryEngine, ForestExactBatchHonorsApproxLeaves) {
   ASSERT_OK(forest->InsertBatch(data));
   ASSERT_OK(forest->Flush());
   const CoconutForest::Snapshot snap = forest->GetSnapshot();
-  const uint64_t runs = snap.runs.size();
-  ASSERT_GT(runs, 1u);
-  for (const auto& run : snap.runs) ASSERT_GE(run->num_leaves(), 4u);
+  ASSERT_GT(snap.runs.size(), 1u);
+  size_t num_leaves = 0;
+  for (const auto& run : snap.runs) {
+    ASSERT_GE(run->num_leaves(), 4u);
+    num_leaves = std::max<size_t>(num_leaves, run->num_leaves());
+  }
 
   std::vector<Series> queries;
   for (int i = 0; i < 8; ++i) queries.push_back(gen->NextSeries());
@@ -302,18 +305,21 @@ TEST(QueryEngine, ForestExactBatchHonorsApproxLeaves) {
   QuerySpec spec;
   spec.mode = QuerySpec::Mode::kExact;
   spec.k = 3;
-  spec.approx_leaves = 4;
-  std::vector<SearchResult> results;
-  std::vector<QueryTrace> traces;
-  ASSERT_OK(
-      engine.ExecuteBatch(*forest, snap, queries, spec, &results, &traces));
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_GE(traces[i].leaves_visited, 4 * runs) << "query " << i;
-    EXPECT_EQ(traces[i].records_fetched, results[i].visited_records);
-    const auto expected = BruteForceKnn(data, queries[i], spec.k);
-    ASSERT_EQ(results[i].neighbors.size(), spec.k);
-    for (size_t j = 0; j < spec.k; ++j) {
-      EXPECT_NEAR(results[i].neighbors[j].distance, expected[j].second, 1e-4);
+  for (size_t approx_leaves : {size_t{1}, size_t{4}, num_leaves}) {
+    SCOPED_TRACE("approx_leaves=" + std::to_string(approx_leaves));
+    spec.approx_leaves = approx_leaves;
+    std::vector<SearchResult> results;
+    std::vector<QueryTrace> traces;
+    ASSERT_OK(
+        engine.ExecuteBatch(*forest, snap, queries, spec, &results, &traces));
+    for (size_t i = 0; i < queries.size(); ++i) {
+      EXPECT_EQ(traces[i].records_fetched, results[i].visited_records);
+      const auto expected = BruteForceKnn(data, queries[i], spec.k);
+      ASSERT_EQ(results[i].neighbors.size(), spec.k);
+      for (size_t j = 0; j < spec.k; ++j) {
+        EXPECT_NEAR(results[i].neighbors[j].distance, expected[j].second,
+                    1e-4);
+      }
     }
   }
 }

@@ -314,10 +314,12 @@ TEST(QueryEngineObs, BatchPopulatesTracesAndRegistry) {
   ASSERT_EQ(traces.size(), qs.size());
 
   for (size_t i = 0; i < traces.size(); ++i) {
-    // Each query visited at least its own leaf and fetched records; the
-    // trace's fetch count is the same counter SearchResult reports.
-    EXPECT_GT(traces[i].leaves_visited, 0u) << "query " << i;
+    // Each query fetched records and pruned others by their lower bound in
+    // a timed refine; the trace's fetch count is the same counter
+    // SearchResult reports.
     EXPECT_GT(traces[i].records_fetched, 0u) << "query " << i;
+    EXPECT_GT(traces[i].pruned_mindist, 0u) << "query " << i;
+    EXPECT_GT(traces[i].refine_ns, 0u) << "query " << i;
     EXPECT_EQ(traces[i].records_fetched, results[i].visited_records)
         << "query " << i;
     EXPECT_GT(traces[i].total_ns, 0u) << "query " << i;
@@ -325,17 +327,19 @@ TEST(QueryEngineObs, BatchPopulatesTracesAndRegistry) {
 
   // The registry saw the batch: query counters and stage timers moved.
   const RegistrySnapshot after = MetricRegistry::Default().Snapshot();
-  auto counter_delta = [&](const std::string& name) {
-    const auto now = after.counters.find(name);
-    const auto then = before.counters.find(name);
-    return (now == after.counters.end() ? 0 : now->second) -
-           (then == before.counters.end() ? 0 : then->second);
+  auto counter_delta = [](const RegistrySnapshot& then,
+                          const RegistrySnapshot& now,
+                          const std::string& name) {
+    const auto n = now.counters.find(name);
+    const auto t = then.counters.find(name);
+    return (n == now.counters.end() ? 0 : n->second) -
+           (t == then.counters.end() ? 0 : t->second);
   };
-  EXPECT_EQ(counter_delta("query.count"), qs.size());
-  EXPECT_EQ(counter_delta("query.batches"), 1u);
-  EXPECT_GT(counter_delta("query.leaves_visited"), 0u);
-  EXPECT_GT(counter_delta("query.records_fetched"), 0u);
-  EXPECT_GT(counter_delta("query.stage.refine_ns"), 0u);
+  EXPECT_EQ(counter_delta(before, after, "query.count"), qs.size());
+  EXPECT_EQ(counter_delta(before, after, "query.batches"), 1u);
+  EXPECT_GT(counter_delta(before, after, "query.pruned_mindist"), 0u);
+  EXPECT_GT(counter_delta(before, after, "query.records_fetched"), 0u);
+  EXPECT_GT(counter_delta(before, after, "query.stage.refine_ns"), 0u);
   const auto lat = after.histograms.find("query.exact.latency_ns");
   ASSERT_NE(lat, after.histograms.end());
   HistogramSnapshot d = lat->second;
@@ -343,6 +347,15 @@ TEST(QueryEngineObs, BatchPopulatesTracesAndRegistry) {
   if (lat_before != before.histograms.end()) d = d.Delta(lat_before->second);
   EXPECT_EQ(d.count, qs.size());
   EXPECT_GT(d.ValueAtQuantile(0.99), 0u);
+
+  // An approximate batch reads each query's leaf window.
+  spec.mode = QuerySpec::Mode::kApprox;
+  ASSERT_OK(engine.ExecuteBatch(*tree, qs, spec, &results, &traces));
+  for (size_t i = 0; i < traces.size(); ++i) {
+    EXPECT_GT(traces[i].leaves_visited, 0u) << "query " << i;
+  }
+  const RegistrySnapshot after_approx = MetricRegistry::Default().Snapshot();
+  EXPECT_GT(counter_delta(after, after_approx, "query.leaves_visited"), 0u);
 }
 
 }  // namespace
