@@ -3,6 +3,11 @@
 // Coconut family fewer than 59K — the better approximate seed translates
 // directly into pruning power for SIMS.
 //
+// Each method reports its exact and approximate averages side by side. The
+// Coconut exact search scans the approximate leaf window first inside its
+// SIMS pass, with every entry under the lower-bound check, so it can fetch
+// fewer records than a separate approximate search over the same window.
+//
 // Coconut rows count through the per-query QueryTrace (the same counters
 // the QueryEngine flushes into the metric registry) and cross-check the
 // trace against the SearchResult counters — one source of truth, verified
@@ -33,15 +38,12 @@ void Run() {
   QueryFixture f = BuildQueryFixture(dir, raw, kLength, kLeafCapacity, 64ull << 20);
   auto qs = MakeQueries(DatasetKind::kRandomWalk, queries, kLength, 2200);
 
-  // Total visits split into the approximate seeding phase (bounded by the
-  // leaf window) and the SIMS scan phase (the paper's pruning-power story).
-  PrintHeader({"method", "avg_total", "avg_sims_phase", "share_of_N%"});
+  PrintHeader({"method", "avg_exact", "avg_approx", "exact_share_of_N%"});
   auto print = [&](const char* name, uint64_t visited,
                    uint64_t approx_visited) {
     const double avg = static_cast<double>(visited) / queries;
-    const double sims =
-        static_cast<double>(visited - approx_visited) / queries;
-    PrintRow({name, FmtDouble(avg, 1), FmtDouble(sims, 1),
+    PrintRow({name, FmtDouble(avg, 1),
+              FmtDouble(static_cast<double>(approx_visited) / queries, 1),
               FmtDouble(100.0 * avg / count, 2)});
   };
 
@@ -113,8 +115,8 @@ void Run() {
         return f.ads_full->ExactSearch(q.data(), r);
       });
   std::printf(
-      "\nExpectation (paper Fig 9f): the ADS family visits noticeably more\n"
-      "records than the Coconut family; CTree(10) visits the fewest.\n");
+      "\nExpectation (paper Fig 9f): exact search in the ADS family visits\n"
+      "noticeably more records than in the Coconut family.\n");
 }
 
 }  // namespace

@@ -17,7 +17,8 @@ namespace coconut {
 
 struct QueryTrace {
   // ---- work counters -----------------------------------------------------
-  /// Leaf nodes (tree/trie leaf pages, forest run leaves) visited.
+  /// Leaf pages (tree/trie leaves, forest run leaves) read. An exact query
+  /// over a non-materialized index fetches series by offset and reads none.
   uint64_t leaves_visited = 0;
   /// Raw records fetched and distance-evaluated.
   uint64_t records_fetched = 0;
@@ -30,9 +31,11 @@ struct QueryTrace {
   // ---- per-stage wall time (ns) ------------------------------------------
   /// Summarize + locate: PAA → SAX → invSAX → leaf search.
   uint64_t route_ns = 0;
-  /// Approximate answer from the target leaf window.
+  /// Approximate answer from the target leaf window (approximate queries
+  /// only: an exact query reports route + refine).
   uint64_t approx_ns = 0;
-  /// Exact refinement: lower-bound computation + skip-sequential scan.
+  /// Exact refinement: lower-bound computation + skip-sequential scan,
+  /// leaf window first.
   uint64_t refine_ns = 0;
   /// Cross-run / cross-shard result merging.
   uint64_t merge_ns = 0;
