@@ -2,6 +2,13 @@
 // result: the Coconut family is always faster, and the materialized
 // variants beat the non-materialized ones (records served straight from the
 // leaf instead of the raw file).
+//
+// Both Coconut variants fetch only the window entries whose lower bound in
+// the in-memory SAX array beats the best-so-far. The materialized one reads
+// the whole leaf page of each such entry, the other one a single raw record.
+// The paper's order comes from disk, where a random record read costs more
+// than a sequential page. With the data in the page cache, as at laptop
+// scale, the non-materialized variant reads fewer bytes and can be faster.
 #include "bench/bench_util.h"
 #include "bench/query_fixture.h"
 
@@ -50,7 +57,8 @@ void Run() {
   }
   std::printf(
       "\nExpectation (paper Fig 9b): Coconut variants faster than ADS;\n"
-      "materialized variants faster than non-materialized ones.\n");
+      "materialized variants faster than non-materialized ones on disk\n"
+      "(from the page cache the non-materialized one can be faster).\n");
 }
 
 }  // namespace

@@ -1,7 +1,10 @@
 // Figure 9c: approximate query answering at a fixed dataset size (the
 // paper's 40GB point), including the effect of visiting more leaves
 // (CTree(1) vs CTree(10)). Paper result: Coconut family fastest;
-// materialized variants fastest of all.
+// materialized variants fastest of all. As in Figure 9b, both variants
+// fetch only the window entries their lower bound does not prune, and from
+// the page cache the non-materialized one, which reads single records
+// instead of whole leaf pages, can be the faster.
 #include "bench/bench_util.h"
 #include "bench/query_fixture.h"
 

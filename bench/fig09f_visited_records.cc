@@ -3,10 +3,12 @@
 // Coconut family fewer than 59K — the better approximate seed translates
 // directly into pruning power for SIMS.
 //
-// Each method reports its exact and approximate averages side by side. The
-// Coconut exact search scans the approximate leaf window first inside its
-// SIMS pass, with every entry under the lower-bound check, so it can fetch
-// fewer records than a separate approximate search over the same window.
+// Each method reports its exact and approximate averages side by side. A
+// Coconut approximate search is the window phase of its exact SIMS pass:
+// both fetch only the entries whose lower bound beats the best-so-far, so
+// the approximate search fetches far fewer records than its window holds
+// (CTree(r) covers r leaves of kLeafCapacity entries), and the exact pass
+// starts by fetching those same records.
 //
 // Coconut rows count through the per-query QueryTrace (the same counters
 // the QueryEngine flushes into the metric registry) and cross-check the

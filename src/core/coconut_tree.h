@@ -6,8 +6,8 @@
 //
 // Queries:
 //  * ApproxSearch (Algorithm 4): descend to the leaf where the query's
-//    invSAX key would reside and compute true distances over a window of
-//    neighboring (contiguous) leaves.
+//    invSAX key would reside and search the entries of a window of
+//    neighboring (contiguous) leaves: ExactSearch's window phase alone.
 //  * ExactSearch (Algorithm 5, "CoconutTreeSIMS"): compute lower bounds over
 //    the in-memory summarization array with parallel threads, then perform
 //    a skip-sequential pass over the data fetching only unpruned series,
@@ -80,14 +80,16 @@ class CoconutTree {
                      const std::string& raw_path,
                      std::unique_ptr<CoconutTree>* out);
 
-  /// Approximate k-NN search: visits a window of `num_leaves` contiguous
-  /// leaf pages centered on the query's would-be position (paper's CTree(r)
-  /// notation: CTree(1) visits one page, CTree(10) visits ten).
+  /// Approximate k-NN search over the entries of a window of `num_leaves`
+  /// contiguous leaves centered on the query's would-be position (paper's
+  /// CTree(r) notation: CTree(1) covers one leaf, CTree(10) ten). It fetches
+  /// only the entries whose lower bound in the SIMS arrays beats the k-th
+  /// best so far, so an unmaterialized tree reads no leaf page.
   Status ApproxSearch(const Value* query, size_t num_leaves,
                       SearchResult* result, size_t k = 1,
                       QueryScratch* scratch = nullptr) const {
-    return SimsSearch<CoconutTree>::ApproxSearch(*this, query, num_leaves, k,
-                                                 result, scratch);
+    return SimsSearch<CoconutTree>::Search(*this, query, /*exact=*/false,
+                                           num_leaves, k, result, scratch);
   }
 
   /// Exact k-NN search via CoconutTreeSIMS. The entries of the
@@ -97,8 +99,8 @@ class CoconutTree {
   Status ExactSearch(const Value* query, size_t approx_leaves,
                      SearchResult* result, size_t k = 1,
                      QueryScratch* scratch = nullptr) const {
-    return SimsSearch<CoconutTree>::ExactSearch(*this, query, approx_leaves,
-                                                k, result, scratch);
+    return SimsSearch<CoconutTree>::Search(*this, query, /*exact=*/true,
+                                           approx_leaves, k, result, scratch);
   }
 
   /// Bulk-ingests a batch: appends the series to the raw dataset file and
@@ -180,7 +182,7 @@ class CoconutTree {
   uint32_t internal_crc_ = 0;
 
   // SIMS arrays (leaf order), attached to the .sax sidecar at Open and
-  // loaded on the first exact query.
+  // loaded on the first query.
   SimsArrays sims_;
 };
 

@@ -93,13 +93,15 @@ class CoconutTrie {
                      const std::string& raw_path,
                      std::unique_ptr<CoconutTrie>* out);
 
-  /// Approximate k-NN search: descends to the most promising leaf and scans
-  /// a window of `num_pages` contiguous leaf pages around it.
+  /// Approximate k-NN search: descends to the most promising leaf and
+  /// searches the entries of a window of `num_pages` contiguous leaf pages
+  /// around it, fetching only those whose lower bound in the SIMS arrays
+  /// beats the k-th best so far (ExactSearch's window phase alone).
   Status ApproxSearch(const Value* query, size_t num_pages,
                       SearchResult* result, size_t k = 1,
                       QueryScratch* scratch = nullptr) const {
-    return SimsSearch<CoconutTrie>::ApproxSearch(*this, query, num_pages, k,
-                                                 result, scratch);
+    return SimsSearch<CoconutTrie>::Search(*this, query, /*exact=*/false,
+                                           num_pages, k, result, scratch);
   }
 
   /// Exact k-NN search via the SIMS skip-sequential scan (paper §4.2 "we
@@ -107,8 +109,8 @@ class CoconutTrie {
   Status ExactSearch(const Value* query, size_t approx_pages,
                      SearchResult* result, size_t k = 1,
                      QueryScratch* scratch = nullptr) const {
-    return SimsSearch<CoconutTrie>::ExactSearch(*this, query, approx_pages,
-                                                k, result, scratch);
+    return SimsSearch<CoconutTrie>::Search(*this, query, /*exact=*/true,
+                                           approx_pages, k, result, scratch);
   }
 
   // --- introspection ---
@@ -171,7 +173,7 @@ class CoconutTrie {
   std::vector<uint64_t> page_owner_;  // page -> index into leaf_order_
 
   // SIMS arrays, attached to the .sax sidecar at Open and loaded on the
-  // first exact query.
+  // first query.
   SimsArrays sims_;
 };
 

@@ -117,14 +117,21 @@ Status SimsArrays::Load(uint64_t n, size_t w,
 
 template <class Index>
 Status SimsSearch<Index>::Route(const Index& index, const Value* query,
-                                QueryScratch* scratch, TraceStages* spans,
-                                Stopwatch* stage, uint64_t* page) {
+                                size_t window_pages, QueryScratch* scratch,
+                                TraceStages* spans, Stopwatch* stage,
+                                EntryRange* window) {
   const SummaryOptions& sum = index.options().summary;
   scratch->Prepare(sum.series_length, sum.segments);
   PaaTransform(query, sum.series_length, sum.segments, scratch->paa.data());
   SaxFromPaa(scratch->paa.data(), sum, scratch->sax.data());
+  uint64_t target;
   COCONUT_RETURN_IF_ERROR(
-      index.Route(InvSaxFromSax(scratch->sax.data(), sum), page));
+      index.Route(InvSaxFromSax(scratch->sax.data(), sum), &target));
+  const LeafWindow pages =
+      LeafWindow::Centered(target, window_pages, index.num_pages());
+  // Clamped so that page metadata can never index past the SIMS arrays.
+  window->end = std::min(index.PageEntries(pages.hi).end, index.num_entries());
+  window->begin = std::min(index.PageEntries(pages.lo).begin, window->end);
   spans->Mark("search.route", "query");
   if (scratch->trace != nullptr) {
     scratch->trace->route_ns += stage->ElapsedNanos();
@@ -134,50 +141,90 @@ Status SimsSearch<Index>::Route(const Index& index, const Value* query,
 }
 
 template <class Index>
-Status SimsSearch<Index>::Approx(const Index& index, const Value* query,
-                                 size_t num_pages, KnnCollector* knn,
-                                 QueryScratch* scratch, ScanCount* count) {
-  Stopwatch stage;  // consulted only when tracing
-  TraceStages spans;
-  uint64_t target;
-  COCONUT_RETURN_IF_ERROR(
-      Route(index, query, scratch, &spans, &stage, &target));
-
-  const LeafWindow window =
-      LeafWindow::Centered(target, num_pages, index.num_pages());
+Status SimsSearch<Index>::Scan(const Index& index, const SimsArrays& sims,
+                               const Value* query, EntryRange range,
+                               const double* mindists, bool exact,
+                               KnnCollector* knn, QueryScratch* scratch,
+                               ScanCount* count) {
+  const char* const page_site =
+      exact ? "search.exact.page" : "search.approx.page";
+  const char* const fetch_site =
+      exact ? "search.exact.fetch" : "search.approx.fetch";
   const size_t series_length = index.options().summary.series_length;
   const size_t entry_bytes = index.entry_bytes();
   const bool materialized = index.options().materialized;
   RawSeriesFile* const raw = index.raw_file();
   std::vector<uint8_t>& page = scratch->page;
+  uint64_t cached_page = std::numeric_limits<uint64_t>::max();
   uint64_t visited = 0;
-  for (uint64_t p = window.lo; p <= window.hi; ++p) {
-    COCONUT_CHECK_CONTEXT(scratch->context, "search.approx.page");
-    size_t cnt;
-    COCONUT_RETURN_IF_ERROR(index.ReadPage(p, &page, &cnt));
-    for (size_t i = 0; i < cnt; ++i) {
-      const uint8_t* entry = page.data() + i * entry_bytes;
-      const uint64_t offset = DecodeLeafEntryOffset(entry);
-      const Value* series = LeafEntrySeries(entry);
-      if (!materialized) {
-        // Each entry is a raw-file read, so poll per fetch (the per-page
-        // poll is too coarse when every entry costs real I/O).
-        COCONUT_CHECK_CONTEXT(scratch->context, "search.approx.fetch");
-        COCONUT_RETURN_IF_ERROR(raw->ReadAt(offset, scratch->fetch.data()));
-        series = scratch->fetch.data();
+  uint64_t pages_read = 0;
+  // The bound only moves when an Offer lands, so it is re-read after each
+  // fetch.
+  double bound = knn->bound_sq();
+  for (uint64_t i = range.begin; i < range.end; ++i) {
+    if (mindists[i - range.begin] >= bound) continue;
+    uint64_t offset;
+    const Value* series;
+    if (materialized) {
+      const PageSlot at = index.EntryPage(i);
+      if (at.page != cached_page) {
+        COCONUT_CHECK_CONTEXT(scratch->context, page_site);
+        size_t cnt;
+        COCONUT_RETURN_IF_ERROR(index.ReadPage(at.page, &page, &cnt));
+        cached_page = at.page;
+        ++pages_read;
       }
-      knn->Offer(offset, SquaredEuclideanEarlyAbandon(
-                             series, query, series_length, knn->bound_sq()));
-      ++visited;
+      const uint8_t* entry = page.data() + at.slot * entry_bytes;
+      offset = DecodeLeafEntryOffset(entry);
+      series = LeafEntrySeries(entry);
+    } else {
+      // Each unpruned entry is a raw-file read, so the per-fetch poll stays
+      // proportionate to real I/O.
+      COCONUT_CHECK_CONTEXT(scratch->context, fetch_site);
+      offset = sims.offsets()[i];
+      COCONUT_RETURN_IF_ERROR(raw->ReadAt(offset, scratch->fetch.data()));
+      series = scratch->fetch.data();
     }
+    knn->Offer(offset, SquaredEuclideanEarlyAbandon(series, query,
+                                                    series_length, bound));
+    bound = knn->bound_sq();
+    ++visited;
   }
   count->records += visited;
-  count->pages += window.size();
+  count->pages += pages_read;
+  if (QueryTrace* trace = scratch->trace) {
+    trace->leaves_visited += pages_read;
+    trace->records_fetched += visited;
+    trace->pruned_mindist += range.size() - visited;
+  }
+  return Status::OK();
+}
+
+template <class Index>
+Status SimsSearch<Index>::Approx(const Index& index, const Value* query,
+                                 size_t num_pages, KnnCollector* knn,
+                                 QueryScratch* scratch, ScanCount* count) {
+  const SimsArrays* sims;
+  COCONUT_RETURN_IF_ERROR(index.Sims(&sims));
+  Stopwatch stage;  // consulted only when tracing
+  TraceStages spans;
+  EntryRange window;
+  COCONUT_RETURN_IF_ERROR(
+      Route(index, query, num_pages, scratch, &spans, &stage, &window));
+
+  // Lower bounds for the window's entries only: one batched kernel call.
+  const SummaryOptions& sum = index.options().summary;
+  scratch->mindists.resize(window.size());
+  MindistSqPaaToSaxBatch(scratch->paa.data(),
+                         sims->sax() + window.begin * sum.segments,
+                         sum.segments, window.size(), sum,
+                         scratch->mindists.data());
+  COCONUT_RETURN_IF_ERROR(Scan(index, *sims, query, window,
+                               scratch->mindists.data(), /*exact=*/false, knn,
+                               scratch, count));
   spans.Mark("search.approx", "query");
   if (QueryTrace* trace = scratch->trace) {
     trace->approx_ns += stage.ElapsedNanos();
-    trace->leaves_visited += window.size();
-    trace->records_fetched += visited;
   }
   return Status::OK();
 }
@@ -191,113 +238,42 @@ Status SimsSearch<Index>::Exact(const Index& index, const Value* query,
   COCONUT_RETURN_IF_ERROR(index.Sims(&sims));
   Stopwatch stage;  // consulted only when tracing
   TraceStages spans;
-  uint64_t target;
+  EntryRange window;
   COCONUT_RETURN_IF_ERROR(
-      Route(index, query, scratch, &spans, &stage, &target));
-  const uint64_t n = index.num_entries();
-  const LeafWindow window =
-      LeafWindow::Centered(target, window_pages, index.num_pages());
-  // Clamped so that page metadata can never index past the SIMS arrays.
-  const uint64_t window_end = std::min(index.PageEntries(window.hi).end, n);
-  const uint64_t window_begin =
-      std::min(index.PageEntries(window.lo).begin, window_end);
+      Route(index, query, window_pages, scratch, &spans, &stage, &window));
 
   // Lines 8-10: lower bounds for every entry, in parallel.
+  const uint64_t n = index.num_entries();
   const CoconutOptions& options = index.options();
-  const SummaryOptions& sum = options.summary;
-  ParallelMindists(scratch->paa.data(), sims->sax(), n, sum,
+  ParallelMindists(scratch->paa.data(), sims->sax(), n, options.summary,
                    options.EffectiveThreads(), &scratch->mindists);
-
-  // Lines 12-19: skip-sequential scan fetching only the entries whose lower
-  // bound beats the k-th best distance. The bound only moves when an Offer
-  // lands, so it is re-read after each fetch.
   const double* mindists = scratch->mindists.data();
-  const uint64_t* offsets = sims->offsets();
-  const size_t entry_bytes = index.entry_bytes();
-  const bool materialized = options.materialized;
-  RawSeriesFile* const raw = index.raw_file();
-  std::vector<uint8_t>& page = scratch->page;
-  uint64_t cached_page = std::numeric_limits<uint64_t>::max();
-  uint64_t visited = 0;
-  uint64_t pages_read = 0;
-  const auto scan = [&](uint64_t begin, uint64_t end) -> Status {
-    double bound = knn->bound_sq();
-    for (uint64_t i = begin; i < end; ++i) {
-      if (mindists[i] >= bound) continue;
-      uint64_t offset;
-      const Value* series;
-      if (materialized) {
-        const PageSlot at = index.EntryPage(i);
-        if (at.page != cached_page) {
-          COCONUT_CHECK_CONTEXT(scratch->context, "search.exact.page");
-          size_t cnt;
-          COCONUT_RETURN_IF_ERROR(index.ReadPage(at.page, &page, &cnt));
-          cached_page = at.page;
-          ++pages_read;
-        }
-        const uint8_t* entry = page.data() + at.slot * entry_bytes;
-        offset = DecodeLeafEntryOffset(entry);
-        series = LeafEntrySeries(entry);
-      } else {
-        // Each unpruned entry is a raw-file read, so the per-fetch poll
-        // stays proportionate to real I/O.
-        COCONUT_CHECK_CONTEXT(scratch->context, "search.exact.fetch");
-        offset = offsets[i];
-        COCONUT_RETURN_IF_ERROR(raw->ReadAt(offset, scratch->fetch.data()));
-        series = scratch->fetch.data();
-      }
-      knn->Offer(offset, SquaredEuclideanEarlyAbandon(
-                             series, query, sum.series_length, bound));
-      bound = knn->bound_sq();
-      ++visited;
-    }
-    return Status::OK();
-  };
+
   // The query's own window first, so its near neighbours set the bound the
   // rest of the index is pruned against; then everything before and after.
-  COCONUT_RETURN_IF_ERROR(scan(window_begin, window_end));
-  COCONUT_RETURN_IF_ERROR(scan(0, window_begin));
-  COCONUT_RETURN_IF_ERROR(scan(window_end, n));
-  count->records += visited;
-  count->pages += pages_read;
+  for (const EntryRange range :
+       {window, EntryRange{0, window.begin}, EntryRange{window.end, n}}) {
+    COCONUT_RETURN_IF_ERROR(Scan(index, *sims, query, range,
+                                 mindists + range.begin, /*exact=*/true, knn,
+                                 scratch, count));
+  }
   spans.Mark("search.refine", "query");
   if (QueryTrace* trace = scratch->trace) {
     trace->refine_ns += stage.ElapsedNanos();
-    trace->leaves_visited += pages_read;
-    trace->records_fetched += visited;
-    trace->pruned_mindist += n - visited;
   }
   return Status::OK();
 }
 
 template <class Index>
-Status SimsSearch<Index>::ApproxSearch(const Index& index, const Value* query,
-                                       size_t num_pages, size_t k,
-                                       SearchResult* result,
-                                       QueryScratch* scratch) {
+Status SimsSearch<Index>::Search(const Index& index, const Value* query,
+                                 bool exact, size_t window_pages, size_t k,
+                                 SearchResult* result, QueryScratch* scratch) {
   QueryScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   KnnCollector knn(k);
   ScanCount count;
-  COCONUT_RETURN_IF_ERROR(
-      Approx(index, query, num_pages, &knn, scratch, &count));
-  knn.Finalize(result);
-  result->visited_records = count.records;
-  result->leaves_read = count.pages;
-  return Status::OK();
-}
-
-template <class Index>
-Status SimsSearch<Index>::ExactSearch(const Index& index, const Value* query,
-                                      size_t window_pages, size_t k,
-                                      SearchResult* result,
-                                      QueryScratch* scratch) {
-  QueryScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-  KnnCollector knn(k);
-  ScanCount count;
-  COCONUT_RETURN_IF_ERROR(
-      Exact(index, query, window_pages, &knn, scratch, &count));
+  COCONUT_RETURN_IF_ERROR((exact ? Exact : Approx)(index, query, window_pages,
+                                                   &knn, scratch, &count));
   knn.Finalize(result);
   result->visited_records = count.records;
   result->leaves_read = count.pages;

@@ -6,21 +6,21 @@
 //
 //  * LeafWindow: the window of `width` contiguous pages centred on the
 //    query's target page ("all data series in a specific radius").
-//  * SimsSearch<Index>::Approx: routes the query to its target page and
-//    scans the window.
+//  * SimsSearch<Index>::Approx: Algorithm 4 as the window phase of Exact:
+//    the scan below over the entries of the query's LeafWindow only.
 //  * SimsSearch<Index>::Exact: Algorithm 5 as one pass. Lower bounds for
-//    every entry from the in-memory SAX array (in parallel), then a
-//    skip-sequential scan that fetches only the entries whose bound beats
-//    the current k-th best distance: from the leaf page when the index is
-//    materialized, from the raw file by offset otherwise. The scan takes
-//    the entries of the query's LeafWindow first, then the entries before
-//    it, then those after it. The window's near neighbours tighten the
-//    bound early, as the paper's approximate seed (line 6) does, but every
-//    window entry still passes the lower-bound check, so no separate
-//    approximate pass fetches records the bound would have pruned.
-//  * SimsSearch<Index>::ApproxSearch / ExactSearch: the indexes' whole
-//    ApproxSearch and ExactSearch, each one of the above into a fresh
-//    collector.
+//    every entry from the in-memory SAX array (in parallel), then the scan
+//    below over the query's LeafWindow, then the entries before it, then
+//    those after it. The window's near neighbours tighten the bound early,
+//    as the paper's approximate seed (line 6) does.
+//  * One skip-sequential scan (lines 12-19) serves both. It fetches only
+//    the entries whose lower bound beats the current k-th best distance:
+//    from the leaf page when the index is materialized, from the raw file
+//    by offset otherwise. A skipped entry's true distance is at or above
+//    the k-th best, which KnnCollector::Offer rejects anyway, so the bound
+//    changes no answer.
+//  * SimsSearch<Index>::Search: the indexes' whole ApproxSearch and
+//    ExactSearch, one of the above into a fresh collector.
 //  * ParallelMindists: the parallel lower-bound pass (line 10), also used by
 //    the ADS baseline.
 //
@@ -41,13 +41,13 @@
 // early-abandon, and Offer every entry they fetch; they never reset,
 // finalize, or shrink it. A caller may therefore seed one collector from
 // several sources and run several indexes against the same shared bound:
-// CoconutForest scans its memtable into one collector and then runs Exact
-// over every run against it, so the best answers of one part prune the
-// others. Exact stays exact for any starting bound, because it only skips
-// entries whose lower bound cannot beat the collector's k-th best. Each
-// routine adds the records it fetched and the pages it read to a caller
-// ScanCount and to scratch->trace (when set). It polls scratch->context at
-// page and fetch granularity under the names
+// CoconutForest scans its memtable into one collector and then runs Approx
+// or Exact over every run against it, so the best answers of one part
+// prune the others. Exact stays exact for any starting bound, because it
+// only skips entries whose lower bound cannot beat the collector's k-th
+// best. Each routine adds the records it fetched and the pages it read to a
+// caller ScanCount and to scratch->trace (when set). It polls
+// scratch->context at page and fetch granularity under the names
 // search.{approx,exact}.{page,fetch}, and marks the spans search.route,
 // search.approx and search.refine.
 #ifndef COCONUT_CORE_SIMS_COMMON_H_
@@ -94,7 +94,7 @@ struct LeafWindow {
 
 /// The SIMS arrays of one index: a SAX word and a raw-file offset per entry,
 /// in sorted-entry order, loaded once from the `.sax` sidecar on the first
-/// exact query. Immutable once loaded (release-store after the arrays are
+/// query. Immutable once loaded (release-store after the arrays are
 /// filled; the acquire-load fast path keeps the steady state lock-free);
 /// mu_ serializes the one-time load.
 class SimsArrays {
@@ -102,7 +102,7 @@ class SimsArrays {
   /// Binds the sidecar at `path` and forgets any loaded arrays. The file is
   /// opened now, best effort: holding the descriptor lets a snapshot reader
   /// load the arrays even after compaction unlinks the file. A missing
-  /// sidecar is reported by Load (approx-only use works without it).
+  /// sidecar is reported by Load (both searches need the arrays).
   /// A writer operation: not safe concurrently with queries.
   void Attach(const std::string& path);
 
@@ -149,8 +149,8 @@ struct ScanCount {
 /// The shared search loops over one index type (see the top of this file).
 template <class Index>
 struct SimsSearch {
-  /// Algorithm 4: routes `query` to its target page and scans the
-  /// LeafWindow of `num_pages` pages around it into `knn`.
+  /// Algorithm 4 as the window phase of Exact: the same scan, over the
+  /// entries of the LeafWindow of `num_pages` pages around the target only.
   static Status Approx(const Index& index, const Value* query,
                        size_t num_pages, KnnCollector* knn,
                        QueryScratch* scratch, ScanCount* count);
@@ -164,21 +164,30 @@ struct SimsSearch {
                       size_t window_pages, KnnCollector* knn,
                       QueryScratch* scratch, ScanCount* count);
 
-  /// Approximate / exact k-NN: Approx / Exact into a fresh collector.
-  /// Both accept a null `scratch` (they then use a local one).
-  static Status ApproxSearch(const Index& index, const Value* query,
-                             size_t num_pages, size_t k, SearchResult* result,
-                             QueryScratch* scratch);
-  static Status ExactSearch(const Index& index, const Value* query,
-                            size_t window_pages, size_t k,
-                            SearchResult* result, QueryScratch* scratch);
+  /// Approximate or exact k-NN: Approx or Exact into a fresh collector.
+  /// Accepts a null `scratch` (then uses a local one).
+  static Status Search(const Index& index, const Value* query, bool exact,
+                       size_t window_pages, size_t k, SearchResult* result,
+                       QueryScratch* scratch);
 
  private:
-  /// PAA -> SAX -> invSAX -> the index's descent: the query's target page.
-  /// Leaves the query's PAA in scratch->paa and accounts the route stage.
+  /// PAA -> SAX -> invSAX -> the index's descent to the query's target
+  /// page; `window` receives the sorted entries of the LeafWindow of
+  /// `window_pages` pages around it. Leaves the query's PAA in scratch->paa
+  /// and accounts the route stage.
   static Status Route(const Index& index, const Value* query,
-                      QueryScratch* scratch, TraceStages* spans,
-                      Stopwatch* stage, uint64_t* page);
+                      size_t window_pages, QueryScratch* scratch,
+                      TraceStages* spans, Stopwatch* stage,
+                      EntryRange* window);
+
+  /// Lines 12-19 over the sorted entries `range`, whose lower bounds are
+  /// mindists[0, range.size()): fetches only the entries whose bound beats
+  /// knn's k-th best, and counts them, the pages read and the entries pruned
+  /// into `count` and scratch->trace. `exact` names the checkpoints.
+  static Status Scan(const Index& index, const SimsArrays& sims,
+                     const Value* query, EntryRange range,
+                     const double* mindists, bool exact, KnnCollector* knn,
+                     QueryScratch* scratch, ScanCount* count);
 };
 
 }  // namespace coconut

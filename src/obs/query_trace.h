@@ -17,8 +17,8 @@ namespace coconut {
 
 struct QueryTrace {
   // ---- work counters -----------------------------------------------------
-  /// Leaf pages (tree/trie leaves, forest run leaves) read. An exact query
-  /// over a non-materialized index fetches series by offset and reads none.
+  /// Leaf pages (tree/trie leaves, forest run leaves) read. A query over a
+  /// non-materialized index fetches series by offset and reads none.
   uint64_t leaves_visited = 0;
   /// Raw records fetched and distance-evaluated.
   uint64_t records_fetched = 0;
@@ -31,8 +31,8 @@ struct QueryTrace {
   // ---- per-stage wall time (ns) ------------------------------------------
   /// Summarize + locate: PAA → SAX → invSAX → leaf search.
   uint64_t route_ns = 0;
-  /// Approximate answer from the target leaf window (approximate queries
-  /// only: an exact query reports route + refine).
+  /// Approximate answer: the lower-bound scan of the target leaf window
+  /// (approximate queries only: an exact query reports route + refine).
   uint64_t approx_ns = 0;
   /// Exact refinement: lower-bound computation + skip-sequential scan,
   /// leaf window first.

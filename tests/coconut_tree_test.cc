@@ -251,19 +251,34 @@ TEST_F(CoconutTreeStructureTest, MergeBatchMaterialized) {
   EXPECT_NEAR(result.distance, bf_dist, 1e-4);
 }
 
+// Approximate search fetches only the window entries whose lower bound
+// beats the k-th best: from the raw file by offset when the tree is not
+// materialized (no leaf page is read), from at most the window's pages when
+// it is.
 TEST_F(CoconutTreeStructureTest, LargerApproxRadiusNeverWorsensAnswer) {
-  BuildSmall(4000, 50, 1.0);
-  auto qgen = MakeGenerator(DatasetKind::kRandomWalk, 64, 55);
-  for (int q = 0; q < 10; ++q) {
-    const Series query = qgen->NextSeries();
-    double prev = std::numeric_limits<double>::infinity();
-    for (size_t r : {1, 2, 4, 10}) {
-      SearchResult res;
-      ASSERT_OK(tree_->ApproxSearch(query.data(), r, &res));
-      EXPECT_LE(res.distance, prev + 1e-9)
-          << "radius " << r << " worsened the approximate answer";
-      prev = res.distance;
-      EXPECT_EQ(res.leaves_read, std::min<uint64_t>(r, tree_->num_leaves()));
+  for (bool materialized : {false, true}) {
+    SCOPED_TRACE(materialized ? "materialized" : "not materialized");
+    tree_.reset();
+    BuildSmall(4000, 50, 1.0, materialized);
+    auto qgen = MakeGenerator(DatasetKind::kRandomWalk, 64, 55);
+    for (int q = 0; q < 10; ++q) {
+      const Series query = qgen->NextSeries();
+      double prev = std::numeric_limits<double>::infinity();
+      for (size_t r : {1, 2, 4, 10}) {
+        SearchResult res;
+        ASSERT_OK(tree_->ApproxSearch(query.data(), r, &res));
+        EXPECT_LE(res.distance, prev + 1e-9)
+            << "radius " << r << " worsened the approximate answer";
+        prev = res.distance;
+        if (materialized) {
+          EXPECT_GE(res.leaves_read, 1u);
+          EXPECT_LE(res.leaves_read,
+                    std::min<uint64_t>(r, tree_->num_leaves()));
+        } else {
+          EXPECT_EQ(res.leaves_read, 0u);
+          EXPECT_LE(res.visited_records, r * opts_.leaf_capacity);
+        }
+      }
     }
   }
 }

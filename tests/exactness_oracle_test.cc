@@ -8,9 +8,14 @@
 //    neighbours all sit in the memtable (its bound must prune the runs);
 //  * a ShardedStore with 1, 2 and 4 shards of the same shape, through
 //    QueryEngine on 1-thread and 4-thread pools.
+// Approximate search is checked too. On a Coconut-Tree it must return the
+// brute-force top-k over the entries of the query's leaf window, found from
+// the tree's public API. With a window that covers every page, it must
+// return the full brute-force top-k on every path above.
 // Ties make neighbor ids ambiguous, so the oracle compares the sorted
 // distance multisets. Each search also checks the fig09f cross-check:
-// QueryTrace.records_fetched equals SearchResult.visited_records.
+// QueryTrace.records_fetched equals SearchResult.visited_records, and no
+// search fetches more records than its candidates hold.
 #include <algorithm>
 #include <memory>
 #include <random>
@@ -22,10 +27,12 @@
 #include "src/core/coconut_tree.h"
 #include "src/core/coconut_trie.h"
 #include "src/core/query_scratch.h"
+#include "src/core/sims_common.h"
 #include "src/exec/query_engine.h"
 #include "src/exec/thread_pool.h"
 #include "src/series/dataset.h"
 #include "src/store/sharded_store.h"
+#include "src/summary/invsax.h"
 #include "tests/test_util.h"
 
 namespace coconut {
@@ -164,12 +171,14 @@ std::string Label(const OracleCase& c, const CoconutOptions& opts,
          " n=" + std::to_string(w.data.size());
 }
 
-/// `r` holds the brute-force top-k distances of `query`, and its trace
-/// counted the records it fetched.
-void ExpectOracleAnswer(const Workload& w, const Series& query, size_t k,
-                        const SearchResult& r, const QueryTrace& trace) {
+/// `r` holds the brute-force top-k distances of `query` over `candidates`,
+/// fetched no more records than they hold, and its trace counted them.
+void ExpectOracleAnswer(const std::vector<Series>& candidates,
+                        const Series& query, size_t k, const SearchResult& r,
+                        const QueryTrace& trace) {
   EXPECT_EQ(trace.records_fetched, r.visited_records);
-  const auto oracle = BruteForceKnn(w.data, query, k);
+  EXPECT_LE(r.visited_records, candidates.size());
+  const auto oracle = BruteForceKnn(candidates, query, k);
   ASSERT_EQ(r.neighbors.size(), oracle.size());
   std::vector<double> got;
   for (const Neighbor& nb : r.neighbors) got.push_back(nb.distance);
@@ -182,10 +191,12 @@ void ExpectOracleAnswer(const Workload& w, const Series& query, size_t k,
 }
 
 /// Runs `search(query, approx_leaves, k, &result, &scratch)` for every
-/// query, k and window against the oracle.
-template <typename SearchFn>
+/// query, k and window against the oracle over
+/// `candidates(query, approx_leaves)`.
+template <typename SearchFn, typename CandidatesFn>
 void CheckAgainstOracle(const Workload& w, const std::string& label,
-                        const SearchFn& search) {
+                        const SearchFn& search,
+                        const CandidatesFn& candidates) {
   for (size_t qi = 0; qi < w.queries.size(); ++qi) {
     const Series& query = w.queries[qi];
     for (size_t k : kKs) {
@@ -198,10 +209,17 @@ void CheckAgainstOracle(const Workload& w, const std::string& label,
         scratch.trace = &trace;
         SearchResult r;
         ASSERT_OK(search(query.data(), approx_leaves, k, &r, &scratch));
-        ExpectOracleAnswer(w, query, k, r, trace);
+        ExpectOracleAnswer(candidates(query, approx_leaves), query, k, r,
+                           trace);
       }
     }
   }
+}
+
+/// Every series: the candidates of an exact search, and of an approximate
+/// one whose window covers every page.
+auto AllSeries(const Workload& w) {
+  return [&w](const Series&, size_t) { return w.data; };
 }
 
 template <typename Index>
@@ -211,6 +229,56 @@ auto IndexSearch(const Index& index) {
     return index.ExactSearch(q, approx_leaves, r, k, scratch);
   };
 }
+
+/// The index's approximate search with a window of `pages` pages, whatever
+/// window the oracle loop asks for.
+template <typename Index>
+auto IndexApprox(const Index& index, size_t pages) {
+  return [&index, pages](const Value* q, size_t, size_t k, SearchResult* r,
+                         QueryScratch* scratch) {
+    return index.ApproxSearch(q, pages, r, k, scratch);
+  };
+}
+
+/// The series of the entries a tree's approximate search considers: those
+/// of the LeafWindow of `width` leaves around the query's target leaf. The
+/// target is the last leaf whose first key is <= the query's invSAX key
+/// (leaf 0 when there is none), the rule of the tree's descent.
+class TreeWindowOracle {
+ public:
+  TreeWindowOracle(const CoconutTree& tree, const Workload& w)
+      : tree_(tree), w_(w), offsets_(tree.num_leaves()) {
+    for (uint64_t leaf = 0; leaf < tree.num_leaves(); ++leaf) {
+      std::vector<ZKey> keys;
+      EXPECT_OK(tree.ReadLeafEntries(leaf, &keys, &offsets_[leaf]));
+      EXPECT_FALSE(keys.empty()) << "leaf " << leaf;
+      first_keys_.push_back(keys.empty() ? ZKey() : keys.front());
+    }
+  }
+
+  std::vector<Series> operator()(const Series& query, size_t width) const {
+    const ZKey key = InvSaxFromSeries(query.data(), tree_.options().summary);
+    const auto after = std::upper_bound(first_keys_.begin(),
+                                        first_keys_.end(), key);
+    const uint64_t target =
+        after == first_keys_.begin() ? 0 : after - first_keys_.begin() - 1;
+    const LeafWindow window =
+        LeafWindow::Centered(target, width, tree_.num_leaves());
+    std::vector<Series> series;
+    for (uint64_t leaf = window.lo; leaf <= window.hi; ++leaf) {
+      for (uint64_t offset : offsets_[leaf]) {
+        series.push_back(w_.data[offset / (kLength * sizeof(Value))]);
+      }
+    }
+    return series;
+  }
+
+ private:
+  const CoconutTree& tree_;
+  const Workload& w_;
+  std::vector<ZKey> first_keys_;
+  std::vector<std::vector<uint64_t>> offsets_;
+};
 
 class ExactnessOracle : public ::testing::TestWithParam<OracleCase> {};
 
@@ -228,12 +296,35 @@ TEST_P(ExactnessOracle, TreeAndTrieMatchBruteForce) {
   ASSERT_OK(CoconutTree::Build(raw, dir.File("i.ctree"), opts));
   std::unique_ptr<CoconutTree> tree;
   ASSERT_OK(CoconutTree::Open(dir.File("i.ctree"), raw, &tree));
-  CheckAgainstOracle(w, "tree " + label, IndexSearch(*tree));
+  CheckAgainstOracle(w, "tree " + label, IndexSearch(*tree), AllSeries(w));
+  CheckAgainstOracle(w, "tree approx, all pages " + label,
+                     IndexApprox(*tree, tree->num_leaves()), AllSeries(w));
 
   ASSERT_OK(CoconutTrie::Build(raw, dir.File("i.ctrie"), opts));
   std::unique_ptr<CoconutTrie> trie;
   ASSERT_OK(CoconutTrie::Open(dir.File("i.ctrie"), raw, &trie));
-  CheckAgainstOracle(w, "trie " + label, IndexSearch(*trie));
+  CheckAgainstOracle(w, "trie " + label, IndexSearch(*trie), AllSeries(w));
+  CheckAgainstOracle(w, "trie approx, all pages " + label,
+                     IndexApprox(*trie, trie->num_pages()), AllSeries(w));
+}
+
+TEST_P(ExactnessOracle, TreeApproxMatchesBruteForceOverItsWindow) {
+  const OracleCase& c = GetParam();
+  std::mt19937_64 rng(c.seed);
+  ScratchDir dir;
+  const Workload w = MakeWorkload(&rng);
+  const std::string raw = dir.File("data.bin");
+  ASSERT_OK(AppendToDataset(raw, w.data));
+  const CoconutOptions opts = MakeOptions(&rng, c.materialized, dir.path());
+  ASSERT_OK(CoconutTree::Build(raw, dir.File("i.ctree"), opts));
+  std::unique_ptr<CoconutTree> tree;
+  ASSERT_OK(CoconutTree::Open(dir.File("i.ctree"), raw, &tree));
+  const auto approx = [&](const Value* q, size_t approx_leaves, size_t k,
+                          SearchResult* r, QueryScratch* scratch) {
+    return tree->ApproxSearch(q, approx_leaves, r, k, scratch);
+  };
+  const TreeWindowOracle window(*tree, w);
+  CheckAgainstOracle(w, "tree approx " + Label(c, opts, w), approx, window);
 }
 
 TEST_P(ExactnessOracle, ForestMatchesBruteForce) {
@@ -260,7 +351,15 @@ TEST_P(ExactnessOracle, ForestMatchesBruteForce) {
                           SearchResult* r, QueryScratch* scratch) {
     return forest->ExactSearch(snap, q, approx_leaves, r, k, scratch);
   };
-  CheckAgainstOracle(lw.all, "forest " + Label(c, opts.tree, lw.all), search);
+  const std::string label = Label(c, opts.tree, lw.all);
+  CheckAgainstOracle(lw.all, "forest " + label, search, AllSeries(lw.all));
+  // Every run has fewer pages than the forest has series.
+  const auto approx_all_pages = [&](const Value* q, size_t, size_t k,
+                                    SearchResult* r, QueryScratch* scratch) {
+    return forest->ApproxSearch(snap, q, lw.all.data.size(), r, k, scratch);
+  };
+  CheckAgainstOracle(lw.all, "forest approx, all pages " + label,
+                     approx_all_pages, AllSeries(lw.all));
 
   // The cluster query's neighbours all sit in the memtable, so the bound the
   // memtable scan leaves behind prunes run entries before any is fetched.
@@ -297,25 +396,35 @@ TEST_P(ExactnessOracle, StoreThroughQueryEngineMatchesBruteForce) {
     for (size_t threads : kThreads) {
       ThreadPool pool(threads);
       QueryEngine engine(&pool);
+      // Exact at each window, and approximate with a window wider than any
+      // run (every run has fewer pages than the store has series).
+      std::vector<QuerySpec> specs;
+      for (size_t approx_leaves : kApproxLeaves) {
+        specs.push_back(QuerySpec{});
+        specs.back().approx_leaves = approx_leaves;
+      }
+      specs.push_back(QuerySpec{});
+      specs.back().mode = QuerySpec::Mode::kApprox;
+      specs.back().approx_leaves = lw.all.data.size();
       for (size_t k : kKs) {
-        for (size_t approx_leaves : kApproxLeaves) {
+        for (QuerySpec spec : specs) {
           SCOPED_TRACE("store " + Label(c, tree, lw.all) +
                        " shards=" + std::to_string(shards) +
                        " threads=" + std::to_string(threads) +
                        " k=" + std::to_string(k) +
-                       " approx_leaves=" + std::to_string(approx_leaves));
-          QuerySpec spec;
-          spec.mode = QuerySpec::Mode::kExact;
+                       (spec.mode == QuerySpec::Mode::kApprox ? " approx"
+                                                              : " exact") +
+                       " approx_leaves=" +
+                       std::to_string(spec.approx_leaves));
           spec.k = k;
-          spec.approx_leaves = approx_leaves;
           std::vector<SearchResult> results;
           std::vector<QueryTrace> traces;
           ASSERT_OK(engine.ExecuteBatch(*store, snap, lw.all.queries, spec,
                                         &results, &traces));
           for (size_t qi = 0; qi < lw.all.queries.size(); ++qi) {
             SCOPED_TRACE("query=" + std::to_string(qi));
-            ExpectOracleAnswer(lw.all, lw.all.queries[qi], k, results[qi],
-                               traces[qi]);
+            ExpectOracleAnswer(lw.all.data, lw.all.queries[qi], k,
+                               results[qi], traces[qi]);
           }
         }
       }

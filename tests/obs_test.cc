@@ -348,14 +348,18 @@ TEST(QueryEngineObs, BatchPopulatesTracesAndRegistry) {
   EXPECT_EQ(d.count, qs.size());
   EXPECT_GT(d.ValueAtQuantile(0.99), 0u);
 
-  // An approximate batch reads each query's leaf window.
+  // An approximate batch over this non-materialized tree fetches the
+  // unpruned entries of each query's leaf window by offset, reads no leaf
+  // page, and prunes the rest of the window by its lower bound.
   spec.mode = QuerySpec::Mode::kApprox;
   ASSERT_OK(engine.ExecuteBatch(*tree, qs, spec, &results, &traces));
   for (size_t i = 0; i < traces.size(); ++i) {
-    EXPECT_GT(traces[i].leaves_visited, 0u) << "query " << i;
+    EXPECT_GT(traces[i].records_fetched, 0u) << "query " << i;
+    EXPECT_EQ(traces[i].leaves_visited, 0u) << "query " << i;
   }
   const RegistrySnapshot after_approx = MetricRegistry::Default().Snapshot();
-  EXPECT_GT(counter_delta(after, after_approx, "query.leaves_visited"), 0u);
+  EXPECT_GT(counter_delta(after, after_approx, "query.records_fetched"), 0u);
+  EXPECT_GT(counter_delta(after, after_approx, "query.pruned_mindist"), 0u);
 }
 
 }  // namespace
