@@ -81,26 +81,60 @@ void BM_KernelSquaredEuclideanEarlyAbandon(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelSquaredEuclideanEarlyAbandon)->Apply(KernelArgs);
 
+/// A query PAA and `count` random 8-bit SAX words of Sum()'s shape.
+struct SaxBatchInput {
+  std::vector<double> paa;
+  std::vector<uint8_t> sax;
+};
+
+SaxBatchInput MakeSaxBatchInput(size_t count) {
+  const SummaryOptions opts = Sum();
+  Rng rng(13);
+  RandomWalkGenerator gen(opts.series_length, 13);
+  Series q = gen.NextSeries();
+  SaxBatchInput in;
+  in.paa.resize(opts.segments);
+  PaaTransform(q.data(), opts.series_length, opts.segments, in.paa.data());
+  in.sax.resize(count * opts.segments);
+  for (auto& byte : in.sax) byte = static_cast<uint8_t>(rng.UniformInt(256));
+  return in;
+}
+
+void BM_KernelMindistSaxTable(benchmark::State& state) {
+  // The per-query table build the SIMS pass amortizes over its entries.
+  const simd::KernelTable& k = KernelsFor(state.range(0) != 0);
+  const SummaryOptions opts = Sum();
+  const SaxBatchInput in = MakeSaxBatchInput(0);
+  const double* edges = SaxBreakpoints::Get().EdgeTable(opts.cardinality_bits);
+  std::vector<double> table(opts.segments * simd::kSaxTableColumns);
+  for (auto _ : state) {
+    k.mindist_sax_table(in.paa.data(), edges, opts.segments,
+                        opts.cardinality_bits, table.data());
+    benchmark::DoNotOptimize(table.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string("kernel=") + k.name);
+}
+BENCHMARK(BM_KernelMindistSaxTable)->Arg(0)->Arg(1)->ArgName("dispatched");
+
 void BM_KernelMindistSaxBatch(benchmark::State& state) {
   // The SIMS pruning pass: lower bounds over a chunk of contiguous
-  // 16-byte SAX records.
+  // 16-byte SAX records, read from a prebuilt query table.
   const size_t count = static_cast<size_t>(state.range(0));
   const simd::KernelTable& k = KernelsFor(state.range(1) != 0);
   const SummaryOptions opts = Sum();
   const size_t w = opts.segments;
-  Rng rng(13);
-  RandomWalkGenerator gen(opts.series_length, 13);
-  Series q = gen.NextSeries();
-  std::vector<double> paa(w);
-  PaaTransform(q.data(), opts.series_length, w, paa.data());
-  std::vector<uint8_t> sax(count * w);
-  for (auto& byte : sax) byte = static_cast<uint8_t>(rng.UniformInt(256));
+  const SaxBatchInput in = MakeSaxBatchInput(count);
+  std::vector<double> table(w * simd::kSaxTableColumns);
+  k.mindist_sax_table(in.paa.data(),
+                      SaxBreakpoints::Get().EdgeTable(opts.cardinality_bits),
+                      w, opts.cardinality_bits, table.data());
   std::vector<double> out(count);
-  const double* edges = SaxBreakpoints::Get().EdgeTable(opts.cardinality_bits);
   for (auto _ : state) {
-    k.mindist_paa_sax_batch(paa.data(), sax.data(), w, count, edges, w,
+    k.mindist_paa_sax_batch(table.data(), in.sax.data(), w, count, w,
                             opts.segment_size(), out.data());
     benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetLabel(std::string("kernel=") + k.name);
   state.SetItemsProcessed(state.iterations() * count);

@@ -9,6 +9,7 @@
 #include "src/core/knn.h"
 #include "src/core/sims_common.h"
 #include "src/series/distance.h"
+#include "src/summary/mindist.h"
 #include "src/summary/paa.h"
 #include "src/summary/sax.h"
 
@@ -104,11 +105,14 @@ Status AdsIndex::ExactSearch(const Value* query, SearchResult* result,
   std::vector<double> paa(sum.segments);
   PaaTransform(query, sum.series_length, sum.segments, paa.data());
 
+  std::vector<double> table;
+  MindistSqPaaToSaxTable(paa.data(), sum, &table);
+
   const uint64_t n = sax_array_.size() / sum.segments;
   std::vector<double> mindists;
   Isax2Options tmp;
   tmp.num_threads = options_.num_threads;
-  ParallelMindists(paa.data(), sax_array_.data(), n, sum,
+  ParallelMindists(table.data(), sax_array_.data(), n, sum,
                    tmp.EffectiveThreads(), &mindists);
 
   // Skip-sequential scan in raw-file order: the i-th summary corresponds to

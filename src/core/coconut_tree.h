@@ -9,10 +9,11 @@
 //    invSAX key would reside and search the entries of a window of
 //    neighboring (contiguous) leaves: ExactSearch's window phase alone.
 //  * ExactSearch (Algorithm 5, "CoconutTreeSIMS"): compute lower bounds over
-//    the in-memory summarization array with parallel threads, then perform
-//    a skip-sequential pass over the data fetching only unpruned series,
-//    starting with the leaf window the approximate search would scan so
-//    that its near neighbours set the pruning bound early.
+//    the in-memory summarization array with parallel threads, then fetch
+//    only unpruned series, starting with the leaf window the approximate
+//    search would scan so that its near neighbours set the pruning bound
+//    early: skip-sequentially through the leaves when materialized,
+//    best-first by lower bound from the raw file otherwise.
 //
 // Both run through the loops shared with Coconut-Trie (sims_common.h); the
 // tree supplies only its routing, leaf reader, and entry -> leaf mapping.

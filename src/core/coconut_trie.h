@@ -104,8 +104,8 @@ class CoconutTrie {
                                            num_pages, k, result, scratch);
   }
 
-  /// Exact k-NN search via the SIMS skip-sequential scan (paper §4.2 "we
-  /// employee the SIMS algorithm" for exact search over the trie as well).
+  /// Exact k-NN search via the SIMS scan (paper §4.2 "we employee the SIMS
+  /// algorithm" for exact search over the trie as well).
   Status ExactSearch(const Value* query, size_t approx_pages,
                      SearchResult* result, size_t k = 1,
                      QueryScratch* scratch = nullptr) const {

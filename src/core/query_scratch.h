@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/common/context.h"
@@ -20,7 +21,9 @@ struct QueryScratch {
   std::vector<uint8_t> page;     // leaf page buffer
   std::vector<double> paa;       // query PAA
   std::vector<uint8_t> sax;      // query SAX word
+  std::vector<double> sax_table;  // query's SAX lower-bound table
   std::vector<double> mindists;  // SIMS lower bounds
+  std::vector<std::pair<double, uint64_t>> candidates;  // best-first heap
 
   /// Optional per-query trace: when set, the search paths accumulate their
   /// visited/pruned counters and stage timings into it (plain writes — the

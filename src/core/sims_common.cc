@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <limits>
 
 #include "src/common/crc32c.h"
@@ -20,7 +21,7 @@
 
 namespace coconut {
 
-void ParallelMindists(const double* query_paa, const uint8_t* sax_array,
+void ParallelMindists(const double* sax_table, const uint8_t* sax_array,
                       uint64_t n, const SummaryOptions& opts, unsigned threads,
                       std::vector<double>* out) {
   out->resize(n);
@@ -28,10 +29,9 @@ void ParallelMindists(const double* query_paa, const uint8_t* sax_array,
   const size_t w = opts.segments;
   double* dst = out->data();
   // One batched-kernel call per contiguous chunk of SAX records (record
-  // stride == w bytes here) instead of a per-entry call: the SIMD backend
-  // amortizes its table setup and the call overhead across the chunk.
+  // stride == w bytes here); every chunk reads the same query table.
   const auto body = [&](uint64_t begin, uint64_t end) {
-    MindistSqPaaToSaxBatch(query_paa, sax_array + begin * w, w, end - begin,
+    MindistSqPaaToSaxBatch(sax_table, sax_array + begin * w, w, end - begin,
                            opts, dst + begin);
   };
   if (threads == 1 || n < 2) {
@@ -123,6 +123,7 @@ Status SimsSearch<Index>::Route(const Index& index, const Value* query,
   const SummaryOptions& sum = index.options().summary;
   scratch->Prepare(sum.series_length, sum.segments);
   PaaTransform(query, sum.series_length, sum.segments, scratch->paa.data());
+  MindistSqPaaToSaxTable(scratch->paa.data(), sum, &scratch->sax_table);
   SaxFromPaa(scratch->paa.data(), sum, scratch->sax.data());
   uint64_t target;
   COCONUT_RETURN_IF_ERROR(
@@ -146,26 +147,28 @@ Status SimsSearch<Index>::Scan(const Index& index, const SimsArrays& sims,
                                const double* mindists, bool exact,
                                KnnCollector* knn, QueryScratch* scratch,
                                ScanCount* count) {
-  const char* const page_site =
-      exact ? "search.exact.page" : "search.approx.page";
-  const char* const fetch_site =
-      exact ? "search.exact.fetch" : "search.approx.fetch";
   const size_t series_length = index.options().summary.series_length;
-  const size_t entry_bytes = index.entry_bytes();
-  const bool materialized = index.options().materialized;
-  RawSeriesFile* const raw = index.raw_file();
-  std::vector<uint8_t>& page = scratch->page;
-  uint64_t cached_page = std::numeric_limits<uint64_t>::max();
   uint64_t visited = 0;
   uint64_t pages_read = 0;
   // The bound only moves when an Offer lands, so it is re-read after each
   // fetch.
   double bound = knn->bound_sq();
-  for (uint64_t i = range.begin; i < range.end; ++i) {
-    if (mindists[i - range.begin] >= bound) continue;
-    uint64_t offset;
-    const Value* series;
-    if (materialized) {
+  const auto offer = [&](uint64_t offset, const Value* series) {
+    knn->Offer(offset, SquaredEuclideanEarlyAbandon(series, query,
+                                                    series_length, bound));
+    bound = knn->bound_sq();
+    ++visited;
+  };
+  if (index.options().materialized) {
+    // Page order: an entry comes from its leaf page, so key order reads each
+    // needed page once and in sequence (Coconut-Tree-Full).
+    const char* const page_site =
+        exact ? "search.exact.page" : "search.approx.page";
+    const size_t entry_bytes = index.entry_bytes();
+    std::vector<uint8_t>& page = scratch->page;
+    uint64_t cached_page = std::numeric_limits<uint64_t>::max();
+    for (uint64_t i = range.begin; i < range.end; ++i) {
+      if (mindists[i - range.begin] >= bound) continue;
       const PageSlot at = index.EntryPage(i);
       if (at.page != cached_page) {
         COCONUT_CHECK_CONTEXT(scratch->context, page_site);
@@ -175,20 +178,33 @@ Status SimsSearch<Index>::Scan(const Index& index, const SimsArrays& sims,
         ++pages_read;
       }
       const uint8_t* entry = page.data() + at.slot * entry_bytes;
-      offset = DecodeLeafEntryOffset(entry);
-      series = LeafEntrySeries(entry);
-    } else {
-      // Each unpruned entry is a raw-file read, so the per-fetch poll stays
+      offer(DecodeLeafEntryOffset(entry), LeafEntrySeries(entry));
+    }
+  } else {
+    // Best-first: every entry is its own raw-file read, so order costs no
+    // locality. Visit the unpruned entries by ascending (bound, entry) and
+    // stop at the first bound that no longer beats the k-th best.
+    const char* const fetch_site =
+        exact ? "search.exact.fetch" : "search.approx.fetch";
+    std::vector<std::pair<double, uint64_t>>& heap = scratch->candidates;
+    heap.clear();
+    for (uint64_t i = range.begin; i < range.end; ++i) {
+      const double lb = mindists[i - range.begin];
+      if (lb < bound) heap.emplace_back(lb, i);
+    }
+    const std::greater<> later;  // min-heap on (bound, entry)
+    std::make_heap(heap.begin(), heap.end(), later);
+    while (!heap.empty() && heap.front().first < bound) {
+      std::pop_heap(heap.begin(), heap.end(), later);
+      const uint64_t offset = sims.offsets()[heap.back().second];
+      heap.pop_back();
+      // Each fetch is a raw-file read, so the per-fetch poll stays
       // proportionate to real I/O.
       COCONUT_CHECK_CONTEXT(scratch->context, fetch_site);
-      offset = sims.offsets()[i];
-      COCONUT_RETURN_IF_ERROR(raw->ReadAt(offset, scratch->fetch.data()));
-      series = scratch->fetch.data();
+      COCONUT_RETURN_IF_ERROR(
+          index.raw_file()->ReadAt(offset, scratch->fetch.data()));
+      offer(offset, scratch->fetch.data());
     }
-    knn->Offer(offset, SquaredEuclideanEarlyAbandon(series, query,
-                                                    series_length, bound));
-    bound = knn->bound_sq();
-    ++visited;
   }
   count->records += visited;
   count->pages += pages_read;
@@ -215,7 +231,7 @@ Status SimsSearch<Index>::Approx(const Index& index, const Value* query,
   // Lower bounds for the window's entries only: one batched kernel call.
   const SummaryOptions& sum = index.options().summary;
   scratch->mindists.resize(window.size());
-  MindistSqPaaToSaxBatch(scratch->paa.data(),
+  MindistSqPaaToSaxBatch(scratch->sax_table.data(),
                          sims->sax() + window.begin * sum.segments,
                          sum.segments, window.size(), sum,
                          scratch->mindists.data());
@@ -245,7 +261,7 @@ Status SimsSearch<Index>::Exact(const Index& index, const Value* query,
   // Lines 8-10: lower bounds for every entry, in parallel.
   const uint64_t n = index.num_entries();
   const CoconutOptions& options = index.options();
-  ParallelMindists(scratch->paa.data(), sims->sax(), n, options.summary,
+  ParallelMindists(scratch->sax_table.data(), sims->sax(), n, options.summary,
                    options.EffectiveThreads(), &scratch->mindists);
   const double* mindists = scratch->mindists.data();
 

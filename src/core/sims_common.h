@@ -13,12 +13,19 @@
 //    below over the query's LeafWindow, then the entries before it, then
 //    those after it. The window's near neighbours tighten the bound early,
 //    as the paper's approximate seed (line 6) does.
-//  * One skip-sequential scan (lines 12-19) serves both. It fetches only
-//    the entries whose lower bound beats the current k-th best distance:
-//    from the leaf page when the index is materialized, from the raw file
-//    by offset otherwise. A skipped entry's true distance is at or above
-//    the k-th best, which KnnCollector::Offer rejects anyway, so the bound
-//    changes no answer.
+//  * Lower bounds are table lookups: Route builds the query's
+//    MindistSqPaaToSaxTable once per index, and an entry's bound is then one
+//    load and add per segment, equal bit for bit to MindistSqPaaToSax.
+//  * One scan (lines 12-19) serves both. It fetches only the entries whose
+//    lower bound beats the current k-th best distance. A skipped entry's
+//    true distance is at or above the k-th best, which KnnCollector::Offer
+//    rejects anyway, so the bound changes no answer. Fetch order:
+//    - materialized: from the leaf pages, in key order, so each needed page
+//      is read once and in sequence (skip-sequential, Coconut-Tree-Full);
+//    - otherwise: from the raw file by offset, one read per entry, so order
+//      costs no locality and the scan is best-first: by ascending (lower
+//      bound, entry), stopping at the first bound that no longer beats the
+//      k-th best. The likeliest answers tighten the bound first.
 //  * SimsSearch<Index>::Search: the indexes' whole ApproxSearch and
 //    ExactSearch, one of the above into a fresh collector.
 //  * ParallelMindists: the parallel lower-bound pass (line 10), also used by
@@ -73,9 +80,10 @@ namespace coconut {
 class Stopwatch;
 class TraceStages;
 
-/// Computes MindistSqPaaToSax(query_paa, sax[i]) for every i in [0, n) into
-/// `out` (resized), splitting the range across `threads` workers.
-void ParallelMindists(const double* query_paa, const uint8_t* sax_array,
+/// Computes MindistSqPaaToSaxBatch(sax_table, sax[i]) for every i in [0, n)
+/// into `out` (resized), splitting the range across `threads` workers; every
+/// chunk reads the one table the query built.
+void ParallelMindists(const double* sax_table, const uint8_t* sax_array,
                       uint64_t n, const SummaryOptions& opts, unsigned threads,
                       std::vector<double>* out);
 
@@ -156,9 +164,9 @@ struct SimsSearch {
                        QueryScratch* scratch, ScanCount* count);
 
   /// Algorithm 5 against `knn`'s current bound: loads the SIMS arrays,
-  /// routes `query` to its target page, and runs the skip-sequential scan
-  /// over the entries of the LeafWindow of `window_pages` pages around it
-  /// first, then over the rest of the index. Reports route and refine time;
+  /// routes `query` to its target page, and runs the scan over the entries
+  /// of the LeafWindow of `window_pages` pages around it first, then over
+  /// the rest of the index. Reports route and refine time;
   /// counts only the pages it actually reads (none when non-materialized).
   static Status Exact(const Index& index, const Value* query,
                       size_t window_pages, KnnCollector* knn,
@@ -173,8 +181,8 @@ struct SimsSearch {
  private:
   /// PAA -> SAX -> invSAX -> the index's descent to the query's target
   /// page; `window` receives the sorted entries of the LeafWindow of
-  /// `window_pages` pages around it. Leaves the query's PAA in scratch->paa
-  /// and accounts the route stage.
+  /// `window_pages` pages around it. Leaves the query's PAA and lower-bound
+  /// table in scratch->paa and ->sax_table, and accounts the route stage.
   static Status Route(const Index& index, const Value* query,
                       size_t window_pages, QueryScratch* scratch,
                       TraceStages* spans, Stopwatch* stage,
@@ -182,7 +190,8 @@ struct SimsSearch {
 
   /// Lines 12-19 over the sorted entries `range`, whose lower bounds are
   /// mindists[0, range.size()): fetches only the entries whose bound beats
-  /// knn's k-th best, and counts them, the pages read and the entries pruned
+  /// knn's k-th best (in page order when materialized, best-first
+  /// otherwise), and counts them, the pages read and the entries pruned
   /// into `count` and scratch->trace. `exact` names the checkpoints.
   static Status Scan(const Index& index, const SimsArrays& sims,
                      const Value* query, EntryRange range,

@@ -297,7 +297,7 @@ Status QueryEngine::ExecuteBatch(const ShardedStore& store,
   // cell is an ordinary per-shard search against that shard's snapshot.
   // Empty shards are skipped (their cell stays a default SearchResult,
   // which merges as "no candidates").
-  return RunBatch(
+  COCONUT_RETURN_IF_ERROR(RunBatch(
       queries, spec, num_shards, results, traces, ctx,
       [&](uint64_t cell, SearchResult* r, QueryScratch* scratch) {
         const size_t qi = static_cast<size_t>(cell) / num_shards;
@@ -311,7 +311,11 @@ Status QueryEngine::ExecuteBatch(const ShardedStore& store,
                      : shard.ApproxSearch(snapshot.shards[si], q,
                                           spec.approx_leaves, r, spec.k,
                                           scratch);
-      });
+      }));
+  // Over a degraded snapshot the merge is exact over the healthy shards
+  // only, and each result says so, as ShardedStore::Search's do.
+  for (SearchResult& r : *results) r.degraded = snapshot.degraded;
+  return Status::OK();
 }
 
 }  // namespace coconut

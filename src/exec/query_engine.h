@@ -118,7 +118,7 @@ class QueryEngine {
   /// grid is query x shard), merging per-shard answers per query. A
   /// query's trace is the merge of its per-shard cell traces (its
   /// total_ns is summed work time, not wall time, since cells run
-  /// concurrently).
+  /// concurrently). Every result carries the snapshot's `degraded` flag.
   Status ExecuteBatch(const ShardedStore& store,
                       const std::vector<Series>& queries,
                       const QuerySpec& spec,

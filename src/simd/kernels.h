@@ -11,8 +11,9 @@
 // testing. All backends implement the same contracts as the scalar
 // reference; accumulation order may differ, so results agree to rounding
 // (the parity suite in tests/simd_test.cc pins a 1-ulp-scaled tolerance),
-// not bit-for-bit. See src/simd/README.md for the dispatch rules and the
-// batch-kernel stride contract.
+// not bit-for-bit. Within one backend, the table-driven MINDIST batch equals
+// the per-record kernel bit for bit. See src/simd/README.md for the dispatch
+// rules and the batch-kernel stride contract.
 #ifndef COCONUT_SIMD_KERNELS_H_
 #define COCONUT_SIMD_KERNELS_H_
 
@@ -21,6 +22,9 @@
 
 namespace coconut {
 namespace simd {
+
+/// Columns per segment row of a mindist_sax_table: one per SAX byte value.
+inline constexpr size_t kSaxTableColumns = 256;
 
 /// One backend's implementations. All pointers are non-null in every table.
 struct KernelTable {
@@ -47,21 +51,26 @@ struct KernelTable {
   double (*mindist_paa_rect)(const double* q, const double* lo,
                              const double* hi, size_t w, double scale);
 
-  /// Table-gathered PAA-to-SAX lower bound: segment j's region is
+  /// Per-record PAA-to-SAX lower bound: segment j's region is
   /// [edges[sax[j]], edges[sax[j] + 1]] in a flat table of 2^bits + 1
   /// region edges (edges[0] == -HUGE_VAL, edges[2^bits] == +HUGE_VAL).
   double (*mindist_paa_sax)(const double* q, const uint8_t* sax,
                             const double* edges, size_t w, double scale);
 
-  /// Batched PAA-to-SAX lower bounds over `count` records laid out at
-  /// `stride_bytes` intervals from `sax_base` (stride >= w; the SAX word is
-  /// the first w bytes of each record). Fills out[0..count). Equivalent to
-  /// count independent mindist_paa_sax calls; exists so the SIMS pruning
-  /// pass is one kernel call per chunk instead of one call per entry.
-  void (*mindist_paa_sax_batch)(const double* q, const uint8_t* sax_base,
-                                size_t stride_bytes, size_t count,
-                                const double* edges, size_t w, double scale,
-                                double* out);
+  /// Fills the per-query lower-bound table of w x kSaxTableColumns doubles:
+  /// table[j * kSaxTableColumns + s] is this backend's term for segment j
+  /// and symbol s (its squared distance, or a value whose square it is).
+  /// Columns s >= 2^bits hold 0, so any SAX byte reads in bounds.
+  void (*mindist_sax_table)(const double* q, const double* edges, size_t w,
+                            unsigned bits, double* table);
+
+  /// Lower bounds from this backend's mindist_sax_table for `count` records
+  /// at `stride_bytes` intervals from `sax_base` (stride >= w; the SAX word
+  /// is a record's first w bytes): w table loads each, summed in
+  /// mindist_paa_sax's order, so out[i] equals it bit for bit.
+  void (*mindist_paa_sax_batch)(const double* table, const uint8_t* sax_base,
+                                size_t stride_bytes, size_t count, size_t w,
+                                double scale, double* out);
 
   /// PAA transform: out[s] = mean of segment s (n divisible by segments;
   /// accumulation in double).

@@ -12,8 +12,8 @@
 
 #include <immintrin.h>
 
+#include <algorithm>
 #include <cmath>
-#include <cstring>
 
 namespace coconut {
 namespace simd {
@@ -97,13 +97,21 @@ double MindistPaaPaaAvx2(const double* a, const double* b, size_t w,
   return scale * sum;
 }
 
-/// Per-lane distsq(q, [lo, hi]) = max(lo - q, q - hi, 0)^2; -+HUGE_VAL
-/// edges yield -inf on their side of the max, never a NaN (q is finite).
+/// Per-lane term of distsq(q, [lo, hi]) = max(lo - q, q - hi, 0)^2, before
+/// squaring; -+HUGE_VAL edges yield -inf on their side of the max, never a
+/// NaN (q is finite).
+inline __m256d RangeTerm(__m256d q, __m256d lo, __m256d hi) {
+  const __m256d d = _mm256_max_pd(_mm256_sub_pd(lo, q), _mm256_sub_pd(q, hi));
+  return _mm256_max_pd(d, _mm256_setzero_pd());
+}
+
+/// The same term for one segment (the tails).
+inline double RangeTerm(double q, double lo, double hi) {
+  return std::max(std::max(lo - q, q - hi), 0.0);
+}
+
 inline __m256d RangeAccum(__m256d q, __m256d lo, __m256d hi, __m256d acc) {
-  const __m256d below = _mm256_sub_pd(lo, q);
-  const __m256d above = _mm256_sub_pd(q, hi);
-  const __m256d d =
-      _mm256_max_pd(_mm256_max_pd(below, above), _mm256_setzero_pd());
+  const __m256d d = RangeTerm(q, lo, hi);
   return _mm256_fmadd_pd(d, d, acc);
 }
 
@@ -120,52 +128,65 @@ double MindistPaaRectAvx2(const double* q, const double* lo, const double* hi,
   return scale * sum;
 }
 
-/// All-lanes gather of 4 doubles. The masked form with an explicit zeroed
-/// source emits the same vgatherdpd as the plain intrinsic but avoids GCC's
-/// -Wmaybe-uninitialized false positive on the undefined pass-through
-/// operand in avx2intrin.h.
-inline __m256d GatherPd(const double* base, __m128i idx) {
-  return _mm256_mask_i32gather_pd(
-      _mm256_setzero_pd(), base, idx,
-      _mm256_castsi256_pd(_mm256_set1_epi64x(-1)), 8);
-}
-
-/// Core of the table-gathered PAA-to-SAX bound: 4 segments per step, both
-/// region edges fetched with vgatherqpd on the symbol bytes (region s of
-/// the flat edges table is [edges[s], edges[s + 1]], so the upper edges
-/// are the same gather off base edges + 1).
-inline double MindistPaaSaxCore(const double* q, const uint8_t* sax,
-                                const double* edges, size_t w) {
+/// Region s of the flat edges table is [edges[s], edges[s + 1]]. The
+/// squared terms go into 4 FMA lanes, summed in Hsum's order, then the
+/// w % 4 tail is fused in sequence; the batch below keeps this order.
+double MindistPaaSaxAvx2(const double* q, const uint8_t* sax,
+                         const double* edges, size_t w, double scale) {
+  const auto term = [&](size_t j) {
+    return RangeTerm(q[j], edges[sax[j]], edges[sax[j] + 1]);
+  };
   __m256d acc = _mm256_setzero_pd();
   size_t j = 0;
   for (; j + 4 <= w; j += 4) {
-    uint32_t packed;
-    std::memcpy(&packed, sax + j, 4);
-    const __m128i idx =
-        _mm_cvtepu8_epi32(_mm_cvtsi32_si128(static_cast<int>(packed)));
-    const __m256d lo = GatherPd(edges, idx);
-    const __m256d hi = GatherPd(edges + 1, idx);
-    acc = RangeAccum(_mm256_loadu_pd(q + j), lo, hi, acc);
+    const __m256d d =
+        _mm256_setr_pd(term(j), term(j + 1), term(j + 2), term(j + 3));
+    acc = _mm256_fmadd_pd(d, d, acc);
   }
   double sum = Hsum(acc);
-  for (; j < w; ++j) {
-    sum += DistToRangeSq(q[j], edges[sax[j]], edges[sax[j] + 1]);
+  for (; j < w; ++j) sum = std::fma(term(j), term(j), sum);
+  return scale * sum;
+}
+
+/// Table terms are RangeTerm, unsquared, 4 symbols per step.
+void MindistSaxTableAvx2(const double* q, const double* edges, size_t w,
+                         unsigned bits, double* table) {
+  const size_t symbols = size_t{1} << bits;
+  for (size_t j = 0; j < w; ++j) {
+    double* row = table + j * kSaxTableColumns;
+    const __m256d vq = _mm256_set1_pd(q[j]);
+    size_t s = 0;
+    for (; s + 4 <= symbols; s += 4) {
+      _mm256_storeu_pd(row + s, RangeTerm(vq, _mm256_loadu_pd(edges + s),
+                                          _mm256_loadu_pd(edges + s + 1)));
+    }
+    for (; s < symbols; ++s) row[s] = RangeTerm(q[j], edges[s], edges[s + 1]);
+    for (; s < kSaxTableColumns; ++s) row[s] = 0.0;
   }
-  return sum;
 }
 
-double MindistPaaSaxAvx2(const double* q, const uint8_t* sax,
-                         const double* edges, size_t w, double scale) {
-  return scale * MindistPaaSaxCore(q, sax, edges, w);
-}
-
-void MindistPaaSaxBatchAvx2(const double* q, const uint8_t* sax_base,
-                            size_t stride_bytes, size_t count,
-                            const double* edges, size_t w, double scale,
-                            double* out) {
+void MindistPaaSaxBatchAvx2(const double* table, const uint8_t* sax_base,
+                            size_t stride_bytes, size_t count, size_t w,
+                            double scale, double* out) {
+  constexpr size_t kCols = kSaxTableColumns;
   for (size_t i = 0; i < count; ++i) {
-    out[i] = scale * MindistPaaSaxCore(q, sax_base + i * stride_bytes, edges,
-                                       w);
+    const uint8_t* sax = sax_base + i * stride_bytes;
+    __m256d acc = _mm256_setzero_pd();
+    size_t j = 0;
+    // Row pointer: the other rows' offsets fold into the loads.
+    for (; j + 4 <= w; j += 4) {
+      const double* row = table + j * kCols;
+      const __m256d d = _mm256_setr_pd(row[sax[j]], row[kCols + sax[j + 1]],
+                                       row[2 * kCols + sax[j + 2]],
+                                       row[3 * kCols + sax[j + 3]]);
+      acc = _mm256_fmadd_pd(d, d, acc);
+    }
+    double sum = Hsum(acc);
+    for (; j < w; ++j) {
+      const double d = table[j * kCols + sax[j]];
+      sum = std::fma(d, d, sum);
+    }
+    out[i] = scale * sum;
   }
 }
 
@@ -240,6 +261,7 @@ const KernelTable* Avx2KernelsImpl() {
       MindistPaaPaaAvx2,
       MindistPaaRectAvx2,
       MindistPaaSaxAvx2,
+      MindistSaxTableAvx2,
       MindistPaaSaxBatchAvx2,
       PaaTransformAvx2,
       ZNormalizeAvx2,

@@ -1,14 +1,15 @@
 // NEON backend for aarch64, where Advanced SIMD is architectural baseline
 // (no extra compile flags, no runtime CPUID needed). Floats are widened to
 // double pairs before subtraction, matching the scalar reference up to the
-// association of the final sum. NEON has no gather, so the SAX table
-// lookups stay scalar loads packed into vector lanes.
+// association of the final sum. NEON has no gather, so the SAX bound's
+// per-segment terms are scalar values packed into vector lanes.
 #include "src/simd/kernels_internal.h"
 
 #if defined(__aarch64__) && defined(__ARM_NEON)
 
 #include <arm_neon.h>
 
+#include <algorithm>
 #include <cmath>
 
 namespace coconut {
@@ -92,6 +93,11 @@ inline float64x2_t RangeAccum(float64x2_t q, float64x2_t lo, float64x2_t hi,
   return vfmaq_f64(acc, d, d);
 }
 
+/// RangeAccum's term for one segment, before squaring.
+inline double RangeTerm(double q, double lo, double hi) {
+  return std::max(std::max(lo - q, q - hi), 0.0);
+}
+
 double MindistPaaRectNeon(const double* q, const double* lo, const double* hi,
                           size_t w, double scale) {
   float64x2_t acc = vdupq_n_f64(0.0);
@@ -105,38 +111,55 @@ double MindistPaaRectNeon(const double* q, const double* lo, const double* hi,
   return scale * sum;
 }
 
-inline double MindistPaaSaxCore(const double* q, const uint8_t* sax,
-                                const double* edges, size_t w) {
-  // Region s of the flat edges table is [edges[s], edges[s + 1]].
+/// scale * sum_j term(j)^2 for j in [0, w): 2 FMA lanes (no NEON gather, so
+/// terms are packed scalar values), vaddvq_f64, then the odd segment fused.
+/// Both SAX bounds below sum through it, so the table-driven batch equals
+/// the per-record kernel bit for bit.
+template <class Term>
+inline double SumSquaredTerms(size_t w, double scale, Term term) {
   float64x2_t acc = vdupq_n_f64(0.0);
   size_t j = 0;
   for (; j + 2 <= w; j += 2) {
-    // No NEON gather: pack two scalar table loads per edge vector.
-    const double* e0 = edges + sax[j];
-    const double* e1 = edges + sax[j + 1];
-    const float64x2_t lo = vcombine_f64(vdup_n_f64(e0[0]), vdup_n_f64(e1[0]));
-    const float64x2_t hi = vcombine_f64(vdup_n_f64(e0[1]), vdup_n_f64(e1[1]));
-    acc = RangeAccum(vld1q_f64(q + j), lo, hi, acc);
+    const float64x2_t d =
+        vcombine_f64(vdup_n_f64(term(j)), vdup_n_f64(term(j + 1)));
+    acc = vfmaq_f64(acc, d, d);
   }
   double sum = vaddvq_f64(acc);
   for (; j < w; ++j) {
-    sum += DistToRangeSq(q[j], edges[sax[j]], edges[sax[j] + 1]);
+    const double d = term(j);
+    sum = std::fma(d, d, sum);
   }
-  return sum;
+  return scale * sum;
 }
 
+/// Region s of the flat edges table is [edges[s], edges[s + 1]].
 double MindistPaaSaxNeon(const double* q, const uint8_t* sax,
                          const double* edges, size_t w, double scale) {
-  return scale * MindistPaaSaxCore(q, sax, edges, w);
+  return SumSquaredTerms(w, scale, [&](size_t j) {
+    return RangeTerm(q[j], edges[sax[j]], edges[sax[j] + 1]);
+  });
 }
 
-void MindistPaaSaxBatchNeon(const double* q, const uint8_t* sax_base,
-                            size_t stride_bytes, size_t count,
-                            const double* edges, size_t w, double scale,
-                            double* out) {
+/// Table terms are RangeTerm, unsquared.
+void MindistSaxTableNeon(const double* q, const double* edges, size_t w,
+                         unsigned bits, double* table) {
+  const size_t symbols = size_t{1} << bits;
+  for (size_t j = 0; j < w; ++j) {
+    double* row = table + j * kSaxTableColumns;
+    for (size_t s = 0; s < kSaxTableColumns; ++s) {
+      row[s] = s < symbols ? RangeTerm(q[j], edges[s], edges[s + 1]) : 0.0;
+    }
+  }
+}
+
+void MindistPaaSaxBatchNeon(const double* table, const uint8_t* sax_base,
+                            size_t stride_bytes, size_t count, size_t w,
+                            double scale, double* out) {
   for (size_t i = 0; i < count; ++i) {
-    out[i] = scale * MindistPaaSaxCore(q, sax_base + i * stride_bytes, edges,
-                                       w);
+    const uint8_t* sax = sax_base + i * stride_bytes;
+    out[i] = SumSquaredTerms(w, scale, [&](size_t j) {
+      return table[j * kSaxTableColumns + sax[j]];
+    });
   }
 }
 
@@ -221,6 +244,7 @@ const KernelTable* NeonKernelsImpl() {
       MindistPaaPaaNeon,
       MindistPaaRectNeon,
       MindistPaaSaxNeon,
+      MindistSaxTableNeon,
       MindistPaaSaxBatchNeon,
       PaaTransformNeon,
       ZNormalizeNeon,

@@ -68,13 +68,25 @@ double MindistPaaSaxScalar(const double* q, const uint8_t* sax,
   return scale * sum;
 }
 
-void MindistPaaSaxBatchScalar(const double* q, const uint8_t* sax_base,
-                              size_t stride_bytes, size_t count,
-                              const double* edges, size_t w, double scale,
-                              double* out) {
+void MindistSaxTableScalar(const double* q, const double* edges, size_t w,
+                           unsigned bits, double* table) {
+  const size_t symbols = size_t{1} << bits;
+  for (size_t j = 0; j < w; ++j) {
+    double* row = table + j * kSaxTableColumns;
+    for (size_t s = 0; s < kSaxTableColumns; ++s) {
+      row[s] = s < symbols ? DistToRangeSq(q[j], edges[s], edges[s + 1]) : 0.0;
+    }
+  }
+}
+
+void MindistPaaSaxBatchScalar(const double* table, const uint8_t* sax_base,
+                              size_t stride_bytes, size_t count, size_t w,
+                              double scale, double* out) {
   for (size_t i = 0; i < count; ++i) {
-    out[i] = MindistPaaSaxScalar(q, sax_base + i * stride_bytes, edges, w,
-                                 scale);
+    const uint8_t* sax = sax_base + i * stride_bytes;
+    double sum = 0.0;
+    for (size_t j = 0; j < w; ++j) sum += table[j * kSaxTableColumns + sax[j]];
+    out[i] = scale * sum;
   }
 }
 
@@ -122,6 +134,7 @@ const KernelTable& ScalarKernels() {
       MindistPaaPaaScalar,
       MindistPaaRectScalar,
       MindistPaaSaxScalar,
+      MindistSaxTableScalar,
       MindistPaaSaxBatchScalar,
       PaaTransformScalar,
       ZNormalizeScalar,

@@ -34,14 +34,20 @@ double MindistSqPaaToSax(const double* query_paa, const uint8_t* sax,
       opts.segment_size());
 }
 
-void MindistSqPaaToSaxBatch(const double* query_paa, const uint8_t* sax_base,
+void MindistSqPaaToSaxTable(const double* query_paa, const SummaryOptions& opts,
+                            std::vector<double>* table) {
+  table->resize(opts.segments * simd::kSaxTableColumns);
+  simd::Kernels().mindist_sax_table(
+      query_paa, SaxBreakpoints::Get().EdgeTable(opts.cardinality_bits),
+      opts.segments, opts.cardinality_bits, table->data());
+}
+
+void MindistSqPaaToSaxBatch(const double* table, const uint8_t* sax_base,
                             size_t stride_bytes, size_t count,
                             const SummaryOptions& opts, double* out) {
-  const SaxBreakpoints& bp = SaxBreakpoints::Get();
-  simd::Kernels().mindist_paa_sax_batch(
-      query_paa, sax_base, stride_bytes, count,
-      bp.EdgeTable(opts.cardinality_bits), opts.segments, opts.segment_size(),
-      out);
+  simd::Kernels().mindist_paa_sax_batch(table, sax_base, stride_bytes, count,
+                                        opts.segments, opts.segment_size(),
+                                        out);
 }
 
 double MindistSqPaaToSaxPrefix(const double* query_paa, const uint8_t* symbols,

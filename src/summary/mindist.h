@@ -5,7 +5,9 @@
 #ifndef COCONUT_SUMMARY_MINDIST_H_
 #define COCONUT_SUMMARY_MINDIST_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "src/summary/options.h"
 
@@ -21,13 +23,18 @@ double MindistSqPaaToPaa(const double* a, const double* b,
 double MindistSqPaaToSax(const double* query_paa, const uint8_t* sax,
                          const SummaryOptions& opts);
 
-/// Batched PAA-to-SAX lower bounds over `count` records laid out at
-/// `stride_bytes` intervals from `sax_base` (stride >= opts.segments; the
-/// SAX word is the first opts.segments bytes of each record). Fills
-/// out[0..count) with the same values as `count` MindistSqPaaToSax calls;
-/// one kernel call per chunk is what makes the SIMS pruning pass (paper
-/// Algorithm 5 line 10) SIMD-friendly.
-void MindistSqPaaToSaxBatch(const double* query_paa, const uint8_t* sax_base,
+/// The per-query table the batch below reads: segment j's term for each of
+/// the 256 byte values (32 KiB at 16 segments; symbols >= 2^cardinality_bits
+/// contribute 0). Built once per query and index; resizes `table`.
+void MindistSqPaaToSaxTable(const double* query_paa, const SummaryOptions& opts,
+                            std::vector<double>* table);
+
+/// PAA-to-SAX lower bounds from a query's MindistSqPaaToSaxTable for `count`
+/// records at `stride_bytes` intervals from `sax_base` (stride >=
+/// opts.segments; the SAX word is a record's first opts.segments bytes): one
+/// table load and add per segment, and out[i] equals MindistSqPaaToSax on
+/// record i bit for bit. The SIMS pruning pass (Algorithm 5 line 10).
+void MindistSqPaaToSaxBatch(const double* table, const uint8_t* sax_base,
                             size_t stride_bytes, size_t count,
                             const SummaryOptions& opts, double* out);
 

@@ -283,6 +283,23 @@ TEST_F(CoconutTreeStructureTest, LargerApproxRadiusNeverWorsensAnswer) {
   }
 }
 
+// A non-materialized tree fetches its unpruned entries in lower-bound order.
+// A query equal to an indexed series has bound 0 only against the series
+// sharing its SAX word, and one of those is the answer at distance 0, so a
+// 1-NN search fetches nothing else.
+TEST_F(CoconutTreeStructureTest, BestFirstFetchesOnlyTheQuerySaxWord) {
+  BuildSmall(5000, 100, 1.0);
+  for (size_t q = 0; q < data_.size(); q += 100) {
+    const size_t sharing =
+        testing::CountSharingSaxWord(data_, data_[q], opts_.summary);
+    SearchResult res;
+    ASSERT_OK(tree_->ExactSearch(data_[q].data(), 1, &res));
+    EXPECT_EQ(res.distance, 0.0) << "query " << q;
+    EXPECT_GE(res.visited_records, 1u) << "query " << q;
+    EXPECT_LE(res.visited_records, sharing) << "query " << q;
+  }
+}
+
 TEST(CoconutTreeErrors, EmptyDatasetRejected) {
   ScratchDir dir;
   const std::string raw = dir.File("empty.bin");

@@ -225,6 +225,22 @@ TEST_F(TrieStructureTest, ReopenAnswersQueries) {
   EXPECT_NEAR(res.distance, bf_dist, 1e-4);
 }
 
+// A non-materialized trie fetches its unpruned entries in lower-bound order:
+// a 1-NN query equal to an indexed series fetches only series sharing its
+// SAX word (bound 0), one of which is the answer at distance 0.
+TEST_F(TrieStructureTest, BestFirstFetchesOnlyTheQuerySaxWord) {
+  Build(5000, 100);
+  for (size_t q = 0; q < data_.size(); q += 100) {
+    const size_t sharing =
+        testing::CountSharingSaxWord(data_, data_[q], opts_.summary);
+    SearchResult res;
+    ASSERT_OK(trie_->ExactSearch(data_[q].data(), 1, &res));
+    EXPECT_EQ(res.distance, 0.0) << "query " << q;
+    EXPECT_GE(res.visited_records, 1u) << "query " << q;
+    EXPECT_LE(res.visited_records, sharing) << "query " << q;
+  }
+}
+
 TEST(CoconutTrieDuplicates, IdenticalSeriesOverflowOneKeyGroup) {
   // More identical series than fit in one leaf: the group cannot be prefix-
   // split (identical summarizations), so it must span multiple pages and

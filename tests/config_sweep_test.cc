@@ -84,9 +84,11 @@ TEST(ParallelMindists, ThreadCountDoesNotChangeResults) {
   std::vector<double> paa(opts.segments);
   PaaTransform(query.data(), 128, opts.segments, paa.data());
 
+  std::vector<double> table;
+  MindistSqPaaToSaxTable(paa.data(), opts, &table);
   std::vector<double> one, many;
-  ParallelMindists(paa.data(), sax.data(), n, opts, 1, &one);
-  ParallelMindists(paa.data(), sax.data(), n, opts, 16, &many);
+  ParallelMindists(table.data(), sax.data(), n, opts, 1, &one);
+  ParallelMindists(table.data(), sax.data(), n, opts, 16, &many);
   ASSERT_EQ(one.size(), many.size());
   for (size_t i = 0; i < n; ++i) {
     EXPECT_DOUBLE_EQ(one[i], many[i]) << "entry " << i;
@@ -105,8 +107,10 @@ TEST(ParallelMindists, MoreThreadsThanEntries) {
   opts.segments = 16;
   std::vector<uint8_t> sax(3 * opts.segments, 100);
   std::vector<double> paa(opts.segments, 0.0);
+  std::vector<double> table;
+  MindistSqPaaToSaxTable(paa.data(), opts, &table);
   std::vector<double> out;
-  ParallelMindists(paa.data(), sax.data(), 3, opts, 32, &out);
+  ParallelMindists(table.data(), sax.data(), 3, opts, 32, &out);
   EXPECT_EQ(out.size(), 3u);
 }
 

@@ -881,6 +881,28 @@ TEST(ShardedStoreDegraded, CorruptShardQuarantinesAndServesDegraded) {
       EXPECT_NEAR(r.neighbors[j].distance, oracle[j], 1e-4);
     }
   }
+
+  // The same through QueryEngine's store grid, exact and approximate.
+  ThreadPool pool(2);
+  QueryEngine engine(&pool);
+  for (const QuerySpec::Mode mode :
+       {QuerySpec::Mode::kExact, QuerySpec::Mode::kApprox}) {
+    QuerySpec spec;
+    spec.mode = mode;
+    spec.k = 3;
+    std::vector<SearchResult> results;
+    ASSERT_OK(engine.ExecuteBatch(*store, snap, queries, spec, &results));
+    ASSERT_EQ(results.size(), queries.size());
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      EXPECT_TRUE(results[qi].degraded) << "query " << qi;
+      if (mode != QuerySpec::Mode::kExact) continue;
+      const std::vector<double> oracle = OracleTopK(healthy, queries[qi], 3);
+      ASSERT_EQ(results[qi].neighbors.size(), oracle.size());
+      for (size_t j = 0; j < oracle.size(); ++j) {
+        EXPECT_NEAR(results[qi].neighbors[j].distance, oracle[j], 1e-4);
+      }
+    }
+  }
 }
 
 TEST(ShardedStoreDegraded, ReadTimeChecksumFailureQuarantinesShard) {

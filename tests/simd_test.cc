@@ -5,8 +5,10 @@
 // vector loops). SIMD backends may associate the accumulation differently,
 // so results are required to agree to a ulp-scaled tolerance, not
 // bit-for-bit; early-abandon variants must land on the same side of the
-// bound as the reference. Run the whole tier-1 suite with
-// COCONUT_SIMD=scalar to exercise the fallback end to end (CI does).
+// bound as the reference. Within one backend, the table-driven MINDIST
+// batch must equal that backend's per-record kernel exactly. Run the whole
+// tier-1 suite with COCONUT_SIMD=scalar to exercise the fallback end to end
+// (CI does).
 #include "src/simd/kernels.h"
 
 #include <algorithm>
@@ -69,6 +71,7 @@ TEST(SimdDispatch, TablesAreWellFormed) {
     EXPECT_NE(t->mindist_paa_paa, nullptr);
     EXPECT_NE(t->mindist_paa_rect, nullptr);
     EXPECT_NE(t->mindist_paa_sax, nullptr);
+    EXPECT_NE(t->mindist_sax_table, nullptr);
     EXPECT_NE(t->mindist_paa_sax_batch, nullptr);
     EXPECT_NE(t->paa_transform, nullptr);
     EXPECT_NE(t->znormalize, nullptr);
@@ -217,26 +220,70 @@ TEST(SimdParity, MindistPaaToSaxAndBatch) {
       for (auto& byte : recs) {
         byte = static_cast<uint8_t>(rng.UniformInt(1u << bits));
       }
-      std::vector<double> want(count), got(count);
+      std::vector<double> table(w * simd::kSaxTableColumns);
+      std::vector<double> got(count);
       for (const KernelTable* t : AvailableBackends()) {
+        t->mindist_sax_table(q.data(), edges, w, bits, table.data());
+        t->mindist_paa_sax_batch(table.data(), recs.data(), stride, count, w,
+                                 16.0, got.data());
         for (size_t i = 0; i < count; ++i) {
-          want[i] = ref.mindist_paa_sax(q.data(), recs.data() + i * stride,
-                                        edges, w, 16.0);
-          // Single-record parity.
+          const uint8_t* sax = recs.data() + i * stride;
+          const double own = t->mindist_paa_sax(q.data(), sax, edges, w, 16.0);
+          // Across backends, the per-record kernels agree to rounding...
           EXPECT_TRUE(NearScaled(
-              want[i],
-              t->mindist_paa_sax(q.data(), recs.data() + i * stride, edges, w,
-                                 16.0),
-              kTol))
+              ref.mindist_paa_sax(q.data(), sax, edges, w, 16.0), own, kTol))
+              << t->name << " bits=" << bits << " w=" << w << " i=" << i;
+          // ...and within one, the table-driven batch is the per-record
+          // kernel bit for bit, honoring the stride.
+          EXPECT_EQ(got[i], own)
               << t->name << " bits=" << bits << " w=" << w << " i=" << i;
         }
-        // Batch == per-record, honoring the stride.
-        t->mindist_paa_sax_batch(q.data(), recs.data(), stride, count, edges,
-                                 w, 16.0, got.data());
-        for (size_t i = 0; i < count; ++i) {
-          EXPECT_TRUE(NearScaled(want[i], got[i], kTol))
-              << t->name << " bits=" << bits << " w=" << w << " i=" << i;
+      }
+    }
+  }
+}
+
+// A SAX byte at or above 2^bits (a corrupt word) reads a zero column of the
+// table: in bounds, and it prunes nothing in that segment.
+TEST(SimdParity, MindistSaxTableZeroesSymbolsOutsideTheAlphabet) {
+  Rng rng(110);
+  const SaxBreakpoints& bp = SaxBreakpoints::Get();
+  for (const unsigned bits : {1u, 3u, 7u}) {
+    const size_t symbols = size_t{1} << bits;
+    const double* edges = bp.EdgeTable(bits);
+    for (const size_t w : {size_t{7}, size_t{16}}) {
+      const std::vector<double> q = RandomDoubles(&rng, w);
+      // outside: some segments hold out-of-alphabet bytes; inside: the same
+      // word with those segments holding the query's own symbol (term 0).
+      std::vector<uint8_t> words(3 * w);
+      uint8_t* outside = words.data();
+      uint8_t* inside = words.data() + w;
+      uint8_t* all_outside = words.data() + 2 * w;
+      for (size_t j = 0; j < w; ++j) {
+        size_t own = 0;
+        while (own + 1 < symbols && q[j] > edges[own + 1]) ++own;
+        const auto junk = static_cast<uint8_t>(
+            symbols + rng.UniformInt(static_cast<uint32_t>(256 - symbols)));
+        const bool corrupt = rng.Uniform() < 0.5;
+        outside[j] = corrupt ? junk : static_cast<uint8_t>(
+                                          rng.UniformInt(symbols));
+        inside[j] = corrupt ? static_cast<uint8_t>(own) : outside[j];
+        all_outside[j] = junk;
+      }
+      std::vector<double> table(w * simd::kSaxTableColumns);
+      double out[3];
+      for (const KernelTable* t : AvailableBackends()) {
+        t->mindist_sax_table(q.data(), edges, w, bits, table.data());
+        for (size_t j = 0; j < w; ++j) {
+          for (size_t s = symbols; s < simd::kSaxTableColumns; ++s) {
+            ASSERT_EQ(table[j * simd::kSaxTableColumns + s], 0.0)
+                << t->name << " bits=" << bits << " j=" << j << " s=" << s;
+          }
         }
+        t->mindist_paa_sax_batch(table.data(), words.data(), w, 3, w, 16.0,
+                                 out);
+        EXPECT_EQ(out[0], out[1]) << t->name << " bits=" << bits << " w=" << w;
+        EXPECT_EQ(out[2], 0.0) << t->name << " bits=" << bits << " w=" << w;
       }
     }
   }
@@ -310,8 +357,10 @@ TEST(SimdRouting, PublicApisMatchDispatchedKernels) {
   const size_t count = 9;
   std::vector<uint8_t> sax(count * opts.segments);
   for (auto& byte : sax) byte = static_cast<uint8_t>(rng.UniformInt(256));
+  std::vector<double> table;
+  MindistSqPaaToSaxTable(q.data(), opts, &table);
   std::vector<double> batch(count);
-  MindistSqPaaToSaxBatch(q.data(), sax.data(), opts.segments, count, opts,
+  MindistSqPaaToSaxBatch(table.data(), sax.data(), opts.segments, count, opts,
                          batch.data());
   for (size_t i = 0; i < count; ++i) {
     EXPECT_EQ(batch[i], MindistSqPaaToSax(

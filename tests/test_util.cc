@@ -5,6 +5,8 @@
 #include <limits>
 
 #include "src/series/distance.h"
+#include "src/summary/paa.h"
+#include "src/summary/sax.h"
 
 namespace coconut {
 namespace testing {
@@ -71,6 +73,21 @@ std::vector<std::pair<size_t, double>> BruteForceKnn(
     out.emplace_back(all[i].second, all[i].first);
   }
   return out;
+}
+
+size_t CountSharingSaxWord(const std::vector<Series>& data,
+                           const Series& query, const SummaryOptions& opts) {
+  const auto word = [&](const Series& s) {
+    std::vector<double> paa(opts.segments);
+    PaaTransform(s.data(), opts.series_length, opts.segments, paa.data());
+    std::vector<uint8_t> sax(opts.segments);
+    SaxFromPaa(paa.data(), opts, sax.data());
+    return sax;
+  };
+  const std::vector<uint8_t> want = word(query);
+  return static_cast<size_t>(
+      std::count_if(data.begin(), data.end(),
+                    [&](const Series& s) { return word(s) == want; }));
 }
 
 }  // namespace testing

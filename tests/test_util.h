@@ -15,6 +15,7 @@
 #include "src/series/dataset.h"
 #include "src/series/generator.h"
 #include "src/series/series.h"
+#include "src/summary/options.h"
 
 namespace coconut {
 namespace testing {
@@ -62,6 +63,11 @@ std::pair<size_t, double> BruteForceNn(const std::vector<Series>& data,
 /// ascending distance order.
 std::vector<std::pair<size_t, double>> BruteForceKnn(
     const std::vector<Series>& data, const Series& query, size_t k);
+
+/// The number of series in `data` whose SAX word (PaaTransform, then
+/// SaxFromPaa, under `opts`) equals `query`'s.
+size_t CountSharingSaxWord(const std::vector<Series>& data,
+                           const Series& query, const SummaryOptions& opts);
 
 }  // namespace testing
 }  // namespace coconut
