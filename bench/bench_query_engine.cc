@@ -27,7 +27,6 @@
 #include "src/core/coconut_tree.h"
 #include "src/exec/query_engine.h"
 #include "src/exec/thread_pool.h"
-#include "src/io/io_stats.h"
 #include "src/net/admin_server.h"
 #include "src/obs/metrics.h"
 #include "src/simd/kernels.h"
@@ -53,17 +52,15 @@ struct JsonRow {
   uint64_t p99_latency_ns = 0;
 };
 
-/// Captures registry + I/O state at construction; Fill() folds the delta
+/// Captures the registry at construction; Fill() folds the delta
 /// accumulated since then into a JSON row.
 class MetricProbe {
  public:
-  MetricProbe()
-      : reg_(MetricRegistry::Default().Snapshot()),
-        io_(IoStats::Instance().Snapshot()) {}
+  MetricProbe() : reg_(MetricRegistry::Default().Snapshot()) {}
 
   void Fill(JsonRow* row) const {
     const RegistrySnapshot now = MetricRegistry::Default().Snapshot();
-    row->io_read_ops = IoStats::Instance().Snapshot().read_ops - io_.read_ops;
+    row->io_read_ops = CounterDelta(now, "io.read_ops");
     row->leaves_visited = CounterDelta(now, "query.leaves_visited");
     // Per-query cost from the thread-CPU clock, not wall time. The wall
     // histogram (query.exact.latency_ns) times each item from its dispatch,
@@ -92,7 +89,6 @@ class MetricProbe {
   }
 
   RegistrySnapshot reg_;
-  IoSnapshot io_;
 };
 
 void WriteJson(const std::vector<JsonRow>& rows) {

@@ -53,10 +53,10 @@ std::vector<Series> MakeQueries(DatasetKind kind, size_t count, size_t length,
 /// Measured phase: wall time plus the I/O counter delta.
 class Measured {
  public:
-  Measured() : before_(IoStats::Instance().Snapshot()) {}
+  Measured() : before_(IoCounterSet::FromRegistry("io.").Snapshot()) {}
 
   double seconds() const { return watch_.ElapsedSeconds(); }
-  IoSnapshot io() const { return IoStats::Instance().Snapshot() - before_; }
+  IoSnapshot io() const { return IoCounterSet::FromRegistry("io.").Snapshot() - before_; }
 
  private:
   Stopwatch watch_;

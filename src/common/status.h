@@ -88,6 +88,14 @@ class Status {
     return code_ == Code::kResourceExhausted || code_ == Code::kAborted;
   }
 
+  /// The same failure with `prefix` in front of its message (say,
+  /// "shard 3: "), so a caller can say where it happened without changing
+  /// what kind of failure it is. OK stays OK.
+  Status WithPrefix(const std::string& prefix) const {
+    if (ok()) return *this;
+    return Status(code_, prefix + msg_);
+  }
+
   Code code() const { return code_; }
   const std::string& message() const { return msg_; }
 

@@ -1,6 +1,7 @@
 #include "src/exec/query_engine.h"
 
 #include <algorithm>
+#include <span>
 
 #include "src/common/sync.h"
 #include "src/common/timer.h"
@@ -99,7 +100,8 @@ class BatchScope {
 /// cell traces are merged first, then flushed once.
 template <typename CellFn>
 Status QueryEngine::RunBatch(const std::vector<Series>& queries,
-                             const QuerySpec& spec, size_t shards,
+                             const QuerySpec& spec,
+                             const ShardedStore::Snapshot* store_snapshot,
                              std::vector<SearchResult>* results,
                              std::vector<QueryTrace>* traces,
                              const Context& ctx, const CellFn& cell) const {
@@ -113,6 +115,8 @@ Status QueryEngine::RunBatch(const std::vector<Series>& queries,
   results->assign(queries.size(), SearchResult{});
   if (traces != nullptr) traces->assign(queries.size(), QueryTrace{});
   const bool exact = spec.mode == QuerySpec::Mode::kExact;
+  const size_t shards =
+      store_snapshot == nullptr ? 0 : store_snapshot->shards.size();
   // Unsharded cells write their query's result and trace in place; shard
   // cells land in per-cell slots for the merge below.
   std::vector<SearchResult> shard_results(queries.size() * shards);
@@ -178,9 +182,6 @@ Status QueryEngine::RunBatch(const std::vector<Series>& queries,
   if (!first_error.ok() || shards == 0) return first_error;
 
   for (size_t qi = 0; qi < queries.size(); ++qi) {
-    const std::vector<SearchResult> per_shard(
-        shard_results.begin() + qi * shards,
-        shard_results.begin() + (qi + 1) * shards);
     QueryTrace qtrace;
     for (size_t si = 0; si < shards; ++si) {
       qtrace.MergeFrom(shard_traces[qi * shards + si]);
@@ -189,7 +190,10 @@ Status QueryEngine::RunBatch(const std::vector<Series>& queries,
     Stopwatch merge_watch;
     {
       TraceSpan merge_span("query.merge", "query");
-      ShardedStore::MergeShardResults(per_shard, spec.k, &(*results)[qi]);
+      ShardedStore::MergeShardResults(
+          *store_snapshot,
+          std::span<const SearchResult>(&shard_results[qi * shards], shards),
+          spec.k, &(*results)[qi]);
     }
     const uint64_t merge_ns = merge_watch.ElapsedNanos();
     qtrace.cpu_ns += merge_cpu.ElapsedNanos();
@@ -210,7 +214,7 @@ Status QueryEngine::IndexBatch(const Index& index,
                                const Context& ctx) const {
   const bool exact = spec.mode == QuerySpec::Mode::kExact;
   return RunBatch(
-      queries, spec, /*shards=*/0, results, traces, ctx,
+      queries, spec, /*store_snapshot=*/nullptr, results, traces, ctx,
       [&](uint64_t i, SearchResult* r, QueryScratch* scratch) {
         const Value* q = queries[i].data();
         return exact ? index.ExactSearch(q, spec.approx_leaves, r, spec.k,
@@ -257,7 +261,7 @@ Status QueryEngine::ExecuteBatch(const CoconutForest& forest,
                                  const Context& ctx) const {
   const bool exact = spec.mode == QuerySpec::Mode::kExact;
   return RunBatch(
-      queries, spec, /*shards=*/0, results, traces, ctx,
+      queries, spec, /*store_snapshot=*/nullptr, results, traces, ctx,
       [&](uint64_t i, SearchResult* r, QueryScratch* scratch) {
         const Value* q = queries[i].data();
         return exact ? forest.ExactSearch(snapshot, q, spec.approx_leaves, r,
@@ -294,28 +298,15 @@ Status QueryEngine::ExecuteBatch(const ShardedStore& store,
   const bool exact = spec.mode == QuerySpec::Mode::kExact;
   // Cross-shard routing: the work grid is (query, shard) cells so a batch
   // saturates the pool even when it is smaller than the thread count; each
-  // cell is an ordinary per-shard search against that shard's snapshot.
-  // Empty shards are skipped (their cell stays a default SearchResult,
-  // which merges as "no candidates").
-  COCONUT_RETURN_IF_ERROR(RunBatch(
-      queries, spec, num_shards, results, traces, ctx,
+  // cell is the store's own per-shard step, which skips empty shards and
+  // quarantines a corrupt one, as the store's serial search does.
+  return RunBatch(
+      queries, spec, &snapshot, results, traces, ctx,
       [&](uint64_t cell, SearchResult* r, QueryScratch* scratch) {
-        const size_t qi = static_cast<size_t>(cell) / num_shards;
-        const size_t si = static_cast<size_t>(cell) % num_shards;
-        if (snapshot.shards[si].num_entries() == 0) return Status::OK();
-        const Value* q = queries[qi].data();
-        const CoconutForest& shard = store.shard(si);
-        return exact ? shard.ExactSearch(snapshot.shards[si], q,
-                                         spec.approx_leaves, r, spec.k,
-                                         scratch)
-                     : shard.ApproxSearch(snapshot.shards[si], q,
-                                          spec.approx_leaves, r, spec.k,
-                                          scratch);
-      }));
-  // Over a degraded snapshot the merge is exact over the healthy shards
-  // only, and each result says so, as ShardedStore::Search's do.
-  for (SearchResult& r : *results) r.degraded = snapshot.degraded;
-  return Status::OK();
+        return store.SearchShard(snapshot, cell % num_shards,
+                                 queries[cell / num_shards].data(), exact,
+                                 spec.approx_leaves, spec.k, r, scratch);
+      });
 }
 
 }  // namespace coconut

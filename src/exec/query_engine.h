@@ -11,7 +11,9 @@
 // the per-shard snapshots: the work grid is (query x shard) cells under
 // ParallelFor, with per-query results merged through KnnCollector
 // (ShardedStore::MergeShardResults), so even a single expensive query uses
-// every core.
+// every core. Each cell is the store's own per-shard step
+// (ShardedStore::SearchShard), so a store batch quarantines a corrupt shard
+// and answers degraded exactly as the store's serial searches do.
 //
 // Batch visibility: a store snapshot is captured under the store's
 // visibility lock and is stamped with the last committed cross-shard epoch
@@ -118,7 +120,11 @@ class QueryEngine {
   /// grid is query x shard), merging per-shard answers per query. A
   /// query's trace is the merge of its per-shard cell traces (its
   /// total_ns is summed work time, not wall time, since cells run
-  /// concurrently). Every result carries the snapshot's `degraded` flag.
+  /// concurrently). Each cell is ShardedStore::SearchShard: a shard whose
+  /// search hits `Corruption` is quarantined and the batch completes over
+  /// the rest; a result is `degraded` when the snapshot was or a shard was
+  /// quarantined during the batch. Other failures name their shard
+  /// ("shard <i>: ...") and keep their status code.
   Status ExecuteBatch(const ShardedStore& store,
                       const std::vector<Series>& queries,
                       const QuerySpec& spec,
@@ -141,13 +147,14 @@ class QueryEngine {
   /// it returns), times the batch
   /// (query.batch_ns), sizes `results` and `traces` to `queries`, and runs
   /// `cell(c, result, scratch)` for every cell on the pool, keeping the
-  /// first failure. With `shards` == 0 cell c is query c and writes its
-  /// result in place; otherwise the grid is query x shard (c = qi * shards
-  /// + si) and each query's shard answers and traces merge once every cell
-  /// has run.
+  /// first failure. Without a `store_snapshot` cell c is query c and writes
+  /// its result in place; otherwise the grid is query x shard (c = qi *
+  /// shards + si) and each query's shard answers and traces merge once
+  /// every cell has run.
   template <typename CellFn>
   Status RunBatch(const std::vector<Series>& queries, const QuerySpec& spec,
-                  size_t shards, std::vector<SearchResult>* results,
+                  const ShardedStore::Snapshot* store_snapshot,
+                  std::vector<SearchResult>* results,
                   std::vector<QueryTrace>* traces, const Context& ctx,
                   const CellFn& cell) const;
 

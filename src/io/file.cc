@@ -20,6 +20,13 @@ namespace {
 std::string ErrnoMessage(const std::string& op, const std::string& path) {
   return op + " " + path + ": " + std::strerror(errno);
 }
+
+/// The process-wide I/O totals ("io.*"); a completed read or write also
+/// counts against the calling thread's IoComponentScope, if any.
+const IoCounterSet& IoTotals() {
+  static const IoCounterSet totals = IoCounterSet::FromRegistry("io.");
+  return totals;
+}
 }  // namespace
 
 RandomAccessFile::~RandomAccessFile() {
@@ -73,7 +80,10 @@ Status RandomAccessFile::Read(uint64_t offset, size_t n, void* buf) {
     if (st.ok()) {
       retry.NoteSuccess();
       next_sequential_offset_.store(offset + n, std::memory_order_relaxed);
-      IoStats::Instance().RecordRead(n, random);
+      IoTotals().RecordRead(n, random);
+      if (const IoCounterSet* c = IoComponentScope::Current()) {
+        c->RecordRead(n, random);
+      }
       return st;
     }
     if (!retry.ShouldRetry(st)) return st;
@@ -166,7 +176,10 @@ Status WritableFile::WriteAt(uint64_t offset, const void* data, size_t n) {
     if (st.ok()) {
       retry.NoteSuccess();
       if (offset + n > append_offset_) append_offset_ = offset + n;
-      IoStats::Instance().RecordWrite(n, random);
+      IoTotals().RecordWrite(n, random);
+      if (const IoCounterSet* c = IoComponentScope::Current()) {
+        c->RecordWrite(n, random);
+      }
       return st;
     }
     if (persisted > 0 || !retry.ShouldRetry(st)) return st;

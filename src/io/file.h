@@ -1,6 +1,6 @@
 // Instrumented POSIX file wrappers. All index and dataset I/O in the library
-// goes through these classes so that the IoStats counters reflect every block
-// access (see io_stats.h).
+// goes through these classes so that the registry's io.* counters reflect
+// every block access (see io_stats.h).
 #ifndef COCONUT_IO_FILE_H_
 #define COCONUT_IO_FILE_H_
 

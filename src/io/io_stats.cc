@@ -10,7 +10,27 @@ namespace coconut {
 
 namespace {
 
-IoCounterSet MakeCounterSet(const std::string& prefix) {
+/// Active per-thread attribution bucket; null outside any scope.
+thread_local const IoCounterSet* t_component = nullptr;
+
+/// The (never-destroyed) counter set for a named component — "query",
+/// "sort", "build", "journal", ... — registering "io.<component>.*" metrics
+/// on first use.
+const IoCounterSet& GetIoComponent(const std::string& component) {
+  static Mutex* mu = new Mutex();
+  static auto* sets = new std::map<std::string, std::unique_ptr<IoCounterSet>>();
+  MutexLock lock(mu);
+  auto& slot = (*sets)[component];
+  if (!slot) {
+    slot = std::make_unique<IoCounterSet>(
+        IoCounterSet::FromRegistry("io." + component + "."));
+  }
+  return *slot;
+}
+
+}  // namespace
+
+IoCounterSet IoCounterSet::FromRegistry(const std::string& prefix) {
   MetricRegistry& reg = MetricRegistry::Default();
   IoCounterSet s;
   s.read_ops = reg.GetCounter(prefix + "read_ops");
@@ -22,48 +42,14 @@ IoCounterSet MakeCounterSet(const std::string& prefix) {
   return s;
 }
 
-/// Active per-thread attribution bucket; null outside any scope.
-thread_local const IoCounterSet* t_component = nullptr;
-
-}  // namespace
-
-IoStats& IoStats::Instance() {
-  // Leaked so recording through cached pointers stays valid during static
-  // destruction (the registry itself is leaked too).
-  static IoStats* instance = new IoStats();
-  return *instance;
-}
-
-IoStats::IoStats() : total_(MakeCounterSet("io.")) {}
-
-void IoStats::RecordRead(uint64_t bytes, bool random) {
-  total_.RecordRead(bytes, random);
-  if (const IoCounterSet* c = t_component) c->RecordRead(bytes, random);
-}
-
-void IoStats::RecordWrite(uint64_t bytes, bool random) {
-  total_.RecordWrite(bytes, random);
-  if (const IoCounterSet* c = t_component) c->RecordWrite(bytes, random);
-}
-
-const IoCounterSet& GetIoComponent(const std::string& component) {
-  static Mutex* mu = new Mutex();
-  static auto* sets = new std::map<std::string, std::unique_ptr<IoCounterSet>>();
-  MutexLock lock(mu);
-  auto& slot = (*sets)[component];
-  if (!slot) {
-    slot = std::make_unique<IoCounterSet>(
-        MakeCounterSet("io." + component + "."));
-  }
-  return *slot;
-}
-
 IoComponentScope::IoComponentScope(const std::string& component)
     : prev_(t_component) {
   t_component = &GetIoComponent(component);
 }
 
 IoComponentScope::~IoComponentScope() { t_component = prev_; }
+
+const IoCounterSet* IoComponentScope::Current() { return t_component; }
 
 std::string IoSnapshot::ToString() const {
   char buf[256];

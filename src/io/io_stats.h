@@ -10,13 +10,14 @@
 // I/Os for bottom-up bulk-loading).
 //
 // The counters live in the process-wide MetricRegistry ("io.read_ops",
-// "io.bytes_written", ...) so they appear in every exposition dump, and the
-// recording path additionally attributes each operation to the active
-// *component scope* on the calling thread (IoComponentScope below):
-// "io.query.read_ops", "io.sort.bytes_written", and so on. There is
-// deliberately no Reset(): a plain-store reset racing RecordRead/RecordWrite
-// silently lost counts — consumers take Snapshot() before and after and
-// subtract (IoSnapshot::operator-).
+// "io.bytes_written", ...), which is their only API: they appear in every
+// exposition dump, and src/io/file.cc records into them. The recording path
+// additionally attributes each operation to the active *component scope* on
+// the calling thread (IoComponentScope below): "io.query.read_ops",
+// "io.sort.bytes_written", and so on. There is deliberately no Reset(): a
+// plain-store reset racing a recording silently lost counts — consumers
+// take Snapshot() before and after and subtract (IoSnapshot::operator-),
+// e.g. IoCounterSet::FromRegistry("io.").Snapshot() for the totals.
 #ifndef COCONUT_IO_IO_STATS_H_
 #define COCONUT_IO_IO_STATS_H_
 
@@ -53,8 +54,13 @@ struct IoSnapshot {
 };
 
 /// The six I/O counters for one attribution bucket (the process total or
-/// one named component), registry-backed.
+/// one named component), registry-backed. Recording is wait-free (striped
+/// relaxed counters, see src/obs/metrics.h).
 struct IoCounterSet {
+  /// The counters registered under `prefix`: "io." for the process
+  /// totals, "io.<component>." for one component.
+  static IoCounterSet FromRegistry(const std::string& prefix);
+
   Counter* read_ops;
   Counter* write_ops;
   Counter* random_read_ops;
@@ -84,29 +90,6 @@ struct IoCounterSet {
   }
 };
 
-/// Process-wide I/O counters. Thread-safe; recording is wait-free (striped
-/// relaxed counters, see src/obs/metrics.h).
-class IoStats {
- public:
-  static IoStats& Instance();
-
-  void RecordRead(uint64_t bytes, bool random);
-  void RecordWrite(uint64_t bytes, bool random);
-
-  IoSnapshot Snapshot() const { return total_.Snapshot(); }
-
- private:
-  IoStats();
-
-  IoCounterSet total_;
-};
-
-/// Returns the (never-destroyed) counter set for a named component —
-/// "query", "sort", "build", "journal", ... — registering
-/// "io.<component>.*" metrics on first use. Snapshot it directly for
-/// per-component deltas.
-const IoCounterSet& GetIoComponent(const std::string& component);
-
 /// RAII thread-local attribution scope: while alive on this thread, every
 /// I/O the thread issues through the src/io wrappers is ALSO counted
 /// against `component`. Scopes nest (the inner component wins, the outer is
@@ -118,6 +101,9 @@ class IoComponentScope {
  public:
   explicit IoComponentScope(const std::string& component);
   ~IoComponentScope();
+
+  /// The innermost active scope's counters on this thread, or null.
+  static const IoCounterSet* Current();
 
   IoComponentScope(const IoComponentScope&) = delete;
   IoComponentScope& operator=(const IoComponentScope&) = delete;

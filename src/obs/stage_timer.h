@@ -1,11 +1,7 @@
-// RAII stage timers: measure a scope's wall time in nanoseconds and record
-// it on destruction — into a Histogram (latency distributions) or into a
-// plain uint64_t accumulator (QueryTrace stage fields, where the trace is
-// single-owner and atomics would be waste).
-//
-// Both adapters accept nullptr targets and then cost two branch
-// instructions total, so call sites can keep one code path whether tracing
-// is on or off.
+// RAII stage timer: measures a scope's wall time in nanoseconds and records
+// it into a latency Histogram on destruction. A nullptr histogram costs two
+// branch instructions total, so call sites can keep one code path whether
+// the metric is wired or not.
 #ifndef COCONUT_OBS_STAGE_TIMER_H_
 #define COCONUT_OBS_STAGE_TIMER_H_
 
@@ -31,23 +27,6 @@ class ScopedTimer {
 
  private:
   Histogram* hist_;
-  Stopwatch watch_;
-};
-
-/// Accumulates the scope's duration into `*sink` (+=). Used for QueryTrace
-/// stage fields, which are thread-local plain data.
-class ScopedStageTimer {
- public:
-  explicit ScopedStageTimer(uint64_t* sink) : sink_(sink) {}
-  ~ScopedStageTimer() {
-    if (sink_ != nullptr) *sink_ += watch_.ElapsedNanos();
-  }
-
-  ScopedStageTimer(const ScopedStageTimer&) = delete;
-  ScopedStageTimer& operator=(const ScopedStageTimer&) = delete;
-
- private:
-  uint64_t* sink_;
   Stopwatch watch_;
 };
 

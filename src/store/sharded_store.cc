@@ -44,25 +44,10 @@ ZKey ShardLowerBound(size_t index, size_t num_shards) {
 }
 
 /// Prefixes a shard failure with the shard id so callers can tell WHICH
-/// shard of a routed write failed.
+/// shard failed; the status code is kept.
 Status TagShard(size_t shard, const Status& st) {
   if (st.ok()) return st;
-  const std::string msg = "shard " + std::to_string(shard) + ": " +
-                          st.ToString();
-  switch (st.code()) {
-    case Status::Code::kInvalidArgument:
-      return Status::InvalidArgument(msg);
-    case Status::Code::kCorruption:
-      return Status::Corruption(msg);
-    case Status::Code::kNotFound:
-      return Status::NotFound(msg);
-    case Status::Code::kNotSupported:
-      return Status::NotSupported(msg);
-    case Status::Code::kInternal:
-      return Status::Internal(msg);
-    default:
-      return Status::IOError(msg);
-  }
+  return st.WithPrefix("shard " + std::to_string(shard) + ": ");
 }
 
 }  // namespace
@@ -660,32 +645,40 @@ ShardedStore::Snapshot ShardedStore::GetSnapshot() const {
   snap.epoch = committed_epoch_.load(std::memory_order_acquire);
   snap.degraded = quarantined_count_.load(std::memory_order_acquire) > 0;
   snap.shards.reserve(shards_.size());
-  for (const auto& shard : shards_) {
-    // A quarantined shard contributes an empty per-shard snapshot so shard
-    // ids keep indexing snap.shards; snap.degraded records the omission.
-    snap.shards.push_back(shard ? shard->GetSnapshot()
-                                : CoconutForest::Snapshot{});
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    // A quarantined shard (at open or by a read) contributes an empty
+    // per-shard snapshot so shard ids keep indexing snap.shards, and no
+    // search reads it again; snap.degraded records the omission.
+    snap.shards.push_back(snap.degraded && IsQuarantined(i)
+                              ? CoconutForest::Snapshot{}
+                              : shards_[i]->GetSnapshot());
   }
   return snap;
 }
 
 uint64_t ShardedStore::num_entries() const {
   ReaderLock visibility_lock(&visibility_mu_);
+  const bool degraded =
+      quarantined_count_.load(std::memory_order_acquire) > 0;
   uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    if (shard) total += shard->num_entries();
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (degraded && IsQuarantined(i)) continue;
+    total += shards_[i]->num_entries();
   }
   return total;
 }
 
-void ShardedStore::MergeShardResults(const std::vector<SearchResult>& per_shard,
+void ShardedStore::MergeShardResults(const Snapshot& snapshot,
+                                     std::span<const SearchResult> per_shard,
                                      size_t k, SearchResult* out) {
   KnnCollector knn(k);
   uint64_t visited = 0;
   uint64_t leaves_read = 0;
+  bool degraded = snapshot.degraded;
   for (size_t s = 0; s < per_shard.size(); ++s) {
     visited += per_shard[s].visited_records;
     leaves_read += per_shard[s].leaves_read;
+    degraded |= per_shard[s].degraded;
     for (const Neighbor& nb : per_shard[s].neighbors) {
       knn.Offer(EncodeOffset(s, nb.offset), nb.distance * nb.distance);
     }
@@ -693,6 +686,33 @@ void ShardedStore::MergeShardResults(const std::vector<SearchResult>& per_shard,
   knn.Finalize(out);
   out->visited_records = visited;
   out->leaves_read = leaves_read;
+  out->degraded = degraded;
+}
+
+Status ShardedStore::SearchShard(const Snapshot& snapshot, size_t i,
+                                 const Value* query, bool exact,
+                                 size_t num_leaves, size_t k,
+                                 SearchResult* result,
+                                 QueryScratch* scratch) const {
+  const CoconutForest::Snapshot& shard = snapshot.shards[i];
+  // Empty, or quarantined when the snapshot was taken: no candidates.
+  if (shard.num_entries() == 0) return Status::OK();
+  const Status st =
+      exact ? shards_[i]->ExactSearch(shard, query, num_leaves, result, k,
+                                      scratch)
+            : shards_[i]->ApproxSearch(shard, query, num_leaves, result, k,
+                                       scratch);
+  if (st.IsCorruption()) {
+    // A checksum failure surfacing mid-query quarantines the shard and the
+    // query completes over the rest — one bad device must not take reads
+    // down store-wide. Quarantine is idempotent, so concurrent cells that
+    // hit the same damage agree. (Other errors still propagate.)
+    QuarantineShard(i, TagShard(i, st));
+    *result = SearchResult{};
+    result->degraded = true;
+    return Status::OK();
+  }
+  return TagShard(i, st);
 }
 
 Status ShardedStore::ExactSearch(const Value* query, SearchResult* result,
@@ -733,33 +753,13 @@ Status ShardedStore::Search(const Snapshot& snapshot, const Value* query,
   // yields the global top-k (the forest's per-run argument, one level up).
   // Over a degraded snapshot the same merge is exact over the HEALTHY
   // shards only, and the result says so.
-  bool degraded = snapshot.degraded;
   std::vector<SearchResult> per_shard(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    if (!shards_[i]) {
-      degraded = true;
-      continue;
-    }
-    if (snapshot.shards[i].num_entries() == 0) continue;
-    const CoconutForest::Snapshot& shard = snapshot.shards[i];
-    const Status st =
-        exact ? shards_[i]->ExactSearch(shard, query, num_leaves,
-                                        &per_shard[i], k, scratch)
-              : shards_[i]->ApproxSearch(shard, query, num_leaves,
-                                         &per_shard[i], k, scratch);
-    if (st.code() == Status::Code::kCorruption) {
-      // A checksum failure surfacing mid-query quarantines the shard and
-      // the search continues over the rest — one bad device must not take
-      // reads down store-wide. (Non-corruption errors still propagate.)
-      QuarantineShard(i, TagShard(i, st));
-      per_shard[i] = SearchResult{};
-      degraded = true;
-      continue;
-    }
-    COCONUT_RETURN_IF_ERROR(TagShard(i, st));
+    COCONUT_RETURN_IF_ERROR(SearchShard(snapshot, i, query, exact,
+                                        num_leaves, k, &per_shard[i],
+                                        scratch));
   }
-  MergeShardResults(per_shard, k, result);
-  result->degraded = degraded;
+  MergeShardResults(snapshot, per_shard, k, result);
   return Status::OK();
 }
 

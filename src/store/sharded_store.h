@@ -28,7 +28,9 @@
 // entirely: one raw-file append is already atomic on recovery.
 //
 // Queries take a store snapshot (one CoconutForest::Snapshot per shard) and
-// fan out across shards; per-shard k-NN answers merge through KnnCollector.
+// fan out across shards through one per-shard routine (SearchShard, which
+// owns quarantine and the degraded flag); per-shard k-NN answers merge
+// through KnnCollector.
 // Shards partition the data, so the merged per-shard exact top-k is the
 // global top-k — the same argument that makes the forest's per-run merge
 // exact. A QueryEngine batch takes ONE store snapshot up front, so snapshot
@@ -48,6 +50,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -125,7 +128,8 @@ class ShardedStore {
     uint64_t epoch = 0;
     /// True when at least one shard was quarantined at capture time: the
     /// snapshot covers only the healthy shards (quarantined entries appear
-    /// empty) and results computed from it carry the same flag.
+    /// empty, so no search reads them) and results computed from it carry
+    /// the same flag.
     bool degraded = false;
 
     uint64_t num_entries() const {
@@ -208,9 +212,22 @@ class ShardedStore {
                       size_t num_leaves, SearchResult* result, size_t k = 1,
                       QueryScratch* scratch = nullptr) const;
 
-  /// Merges per-shard k-NN answers (indexed by shard id) into one result,
-  /// retagging neighbor offsets with the shard id. Exposed for QueryEngine.
-  static void MergeShardResults(const std::vector<SearchResult>& per_shard,
+  /// One shard's share of a store query, the only per-shard read path:
+  /// ExactSearch/ApproxSearch drive it serially, QueryEngine as its
+  /// (query x shard) grid. A shard empty in `snapshot` (or quarantined when
+  /// it was taken) has no candidates; a `Corruption` quarantines the shard
+  /// and answers OK, empty and `degraded`; any other failure comes back
+  /// with "shard <i>: " before its message and its code kept. Thread-safe.
+  Status SearchShard(const Snapshot& snapshot, size_t shard,
+                     const Value* query, bool exact, size_t num_leaves,
+                     size_t k, SearchResult* result,
+                     QueryScratch* scratch) const;
+
+  /// Merges per-shard answers (indexed by shard id) into one result,
+  /// retagging neighbor offsets with the shard id. The result is degraded
+  /// when the snapshot or any per-shard answer is.
+  static void MergeShardResults(const Snapshot& snapshot,
+                                std::span<const SearchResult> per_shard,
                                 size_t k, SearchResult* out);
 
   static uint64_t EncodeOffset(size_t shard, uint64_t local_offset) {
@@ -247,7 +264,6 @@ class ShardedStore {
   uint64_t committed_epoch() const {
     return committed_epoch_.load(std::memory_order_acquire);
   }
-  const CoconutForest& shard(size_t i) const { return *shards_[i]; }
   /// The shard's raw dataset file (local offsets point into this).
   const std::string& shard_raw_path(size_t i) const { return raw_paths_[i]; }
   const StoreManifest& manifest() const { return manifest_; }
@@ -274,13 +290,14 @@ class ShardedStore {
                                 const Context& ctx) REQUIRES(commit_mu_);
   /// Marks shard `i` quarantined with `cause` (idempotent; const because
   /// the read path quarantines on checksum failure) and updates the
-  /// store.shard.quarantined gauge.
+  /// store.shard.quarantined gauge. Later snapshots leave the shard out.
   void QuarantineShard(size_t i, const Status& cause) const;
-  /// ExactSearch/ApproxSearch body: every healthy shard's forest search,
+  /// ExactSearch/ApproxSearch body: SearchShard for every shard in turn,
   /// merged into one top-k.
   Status Search(const Snapshot& snapshot, const Value* query, bool exact,
                 size_t num_leaves, SearchResult* result, size_t k,
                 QueryScratch* scratch) const;
+  /// Locks: call only once quarantined_count_ is non-zero.
   bool IsQuarantined(size_t i) const EXCLUDES(quarantine_mu_) {
     MutexLock lock(&quarantine_mu_);
     return quarantined_[i];
@@ -326,9 +343,10 @@ class ShardedStore {
   mutable Mutex poison_mu_;
   Status poison_ GUARDED_BY(poison_mu_);
   // Degraded-mode state: per-shard quarantine flags plus their causes.
-  // Innermost like poison_mu_ (never held across I/O or other locks);
-  // quarantined_count_ mirrors the flag count so snapshot capture and the
-  // search hot path can check for degradation without the mutex.
+  // Innermost like poison_mu_ (never held across I/O or while taking
+  // another lock; GetSnapshot and num_entries take it under the shared
+  // visibility_mu_); quarantined_count_ mirrors the flag count so snapshot
+  // capture checks for degradation without the mutex.
   mutable Mutex quarantine_mu_;
   mutable std::vector<bool> quarantined_ GUARDED_BY(quarantine_mu_);
   mutable std::vector<std::string> quarantine_causes_

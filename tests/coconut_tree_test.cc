@@ -206,9 +206,9 @@ TEST_F(CoconutTreeStructureTest, ReopenedIndexAnswersQueries) {
 }
 
 TEST_F(CoconutTreeStructureTest, BuildIsSequentialIo) {
-  const IoSnapshot before = IoStats::Instance().Snapshot();
+  const IoSnapshot before = IoCounterSet::FromRegistry("io.").Snapshot();
   BuildSmall(5000, 100, 1.0);
-  const IoSnapshot s = IoStats::Instance().Snapshot() - before;
+  const IoSnapshot s = IoCounterSet::FromRegistry("io.").Snapshot() - before;
   // Bottom-up bulk loading must be nearly all sequential I/O: allow only a
   // handful of random accesses (superblock rewrite, file opens).
   EXPECT_LE(s.random_write_ops, 5u) << s.ToString();

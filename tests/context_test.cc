@@ -522,6 +522,49 @@ TEST(StoreDeadline, MidCommitCancellationPublishesNothingAndRecovers) {
   EXPECT_EQ(store->num_entries(), committed.size() + torn.size());
 }
 
+TEST(StoreDeadline, SearchKeepsTheDeadlineCodeAndNamesTheShard) {
+  FailpointGuard failpoints;
+  ScratchDir dir;
+  std::unique_ptr<ShardedStore> store;
+  ASSERT_OK(ShardedStore::Open(dir.File("store"), SmallStore(dir, 3), &store));
+  ASSERT_OK(store->InsertBatch(MakeSeries(300, 4600)));
+  ASSERT_OK(store->Flush());  // runs: every shard search reads files
+  const std::vector<Series> queries = MakeSeries(2, 4601);
+
+  // Serial: the expired deadline fires inside the first shard's search.
+  const Context dead =
+      Context::WithDeadline(Context::Clock::now() - std::chrono::seconds(1));
+  QueryScratch scratch;
+  scratch.context = &dead;
+  SearchResult serial_result;
+  const Status serial = store->ExactSearch(
+      store->GetSnapshot(), queries[0].data(), &serial_result, 3, &scratch);
+  EXPECT_TRUE(serial.IsDeadlineExceeded()) << serial.ToString();
+  EXPECT_FALSE(serial.IsTransient());
+  EXPECT_NE(serial.message().find("shard "), std::string::npos)
+      << serial.ToString();
+
+  // Engine: the deadline is live at the engine's per-query poll and lapses
+  // during the first file read, so it fires inside a shard cell. One
+  // thread runs the cells in order, so that cell's failure is the first.
+  const Context ctx = Context::WithTimeout(std::chrono::milliseconds(300));
+  const Context::Clock::time_point lapsed =
+      ctx.deadline() + std::chrono::milliseconds(1);
+  Failpoints::Default().ArmCallback("io.file.read", [lapsed](size_t) {
+    std::this_thread::sleep_until(lapsed);
+    return Status::OK();
+  });
+  ThreadPool pool(1);
+  QueryEngine engine(&pool);
+  QuerySpec spec;
+  spec.k = 3;
+  std::vector<SearchResult> batch;
+  const Status st = engine.ExecuteBatch(*store, queries, spec, &batch,
+                                        /*traces=*/nullptr, ctx);
+  EXPECT_TRUE(st.IsDeadlineExceeded()) << st.ToString();
+  EXPECT_NE(st.message().find("shard "), std::string::npos) << st.ToString();
+}
+
 // --- External sorter ---
 
 TEST(SorterDeadline, SpillBoundaryHonorsExpiredContext) {

@@ -78,7 +78,7 @@ TEST(WritableFile, OpenForAppendContinuesExistingFile) {
   EXPECT_EQ(size, 10u);
 }
 
-TEST(IoStats, ClassifiesSequentialAndRandomReads) {
+TEST(IoCounters, ClassifiesSequentialAndRandomReads) {
   ScratchDir dir;
   const std::string path = dir.File("f.bin");
   {
@@ -91,7 +91,7 @@ TEST(IoStats, ClassifiesSequentialAndRandomReads) {
   std::unique_ptr<RandomAccessFile> f;
   ASSERT_OK(RandomAccessFile::Open(path, &f));
   uint8_t buf[4096];
-  const IoSnapshot before = IoStats::Instance().Snapshot();
+  const IoSnapshot before = IoCounterSet::FromRegistry("io.").Snapshot();
   // A scan from the file start is sequential (offset 0 is the initial
   // expected position); continuations stay sequential.
   ASSERT_OK(f->Read(0, 4096, buf));
@@ -102,7 +102,7 @@ TEST(IoStats, ClassifiesSequentialAndRandomReads) {
   ASSERT_OK(f->Read(4096, 4096, buf));
   // A forward skip is also random.
   ASSERT_OK(f->Read(16384, 4096, buf));
-  const IoSnapshot s = IoStats::Instance().Snapshot() - before;
+  const IoSnapshot s = IoCounterSet::FromRegistry("io.").Snapshot() - before;
   EXPECT_EQ(s.read_ops, 6u);
   EXPECT_EQ(s.random_read_ops, 2u);
   EXPECT_EQ(s.bytes_read, 6u * 4096u);

@@ -119,13 +119,13 @@ TEST(Isax2Structure, ConstrainedBudgetCausesRandomIo) {
   opts.memory_budget_bytes = 32 << 10;  // forces frequent FBL flushes
   std::unique_ptr<Isax2Index> index;
   ASSERT_OK(Isax2Index::Create(opts, dir.File("p.pages"), raw, &index));
-  const IoSnapshot before = IoStats::Instance().Snapshot();
+  const IoSnapshot before = IoCounterSet::FromRegistry("io.").Snapshot();
   const uint64_t series_bytes = 64 * sizeof(Value);
   for (size_t i = 0; i < data.size(); ++i) {
     ASSERT_OK(index->Insert(data[i].data(), i * series_bytes));
   }
   ASSERT_OK(index->FlushAll());
-  const IoSnapshot s = IoStats::Instance().Snapshot() - before;
+  const IoSnapshot s = IoCounterSet::FromRegistry("io.").Snapshot() - before;
   // Top-down insertion with a small buffer must re-write leaves many times:
   // random writes dominate, unlike the bulk-loaded Coconut-Tree.
   EXPECT_GT(s.random_write_ops, 50u) << s.ToString();

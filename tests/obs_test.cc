@@ -271,14 +271,6 @@ TEST(ScopedTimer, RecordsElapsedIntoHistogram) {
   {
     ScopedTimer t(nullptr);  // null sink is a no-op, not a crash
   }
-  uint64_t sink = 0;
-  {
-    ScopedStageTimer t(&sink);
-  }
-  {
-    ScopedStageTimer t(&sink);  // accumulates, not overwrites
-  }
-  EXPECT_GE(sink, 0u);
   Stopwatch w;
   EXPECT_GE(w.ElapsedNanos() + 1, 1u);  // monotone, non-crashing
 }

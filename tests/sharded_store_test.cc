@@ -22,6 +22,7 @@
 #include "src/common/failpoint.h"
 #include "src/core/coconut_forest.h"
 #include "src/exec/query_engine.h"
+#include "src/obs/metrics.h"
 #include "src/store/journal.h"
 #include "src/store/manifest.h"
 #include "src/summary/invsax.h"
@@ -155,43 +156,114 @@ TEST(ShardedStore, CrossShardKnnMatchesUnshardedForest) {
   }
 }
 
+/// Opens a flushed 2-shard store at `root` over MakeSeries(300, 12000) and
+/// then, under the running store, flips one byte of a run sidecar (.sax) of
+/// one live shard: the next search that loads it fails its checksum.
+/// `*victim` is that shard and `*healthy` the series of the other shard.
+void OpenStoreWithCorruptSidecar(const ScratchDir& dir,
+                                 const std::string& root,
+                                 std::unique_ptr<ShardedStore>* store,
+                                 size_t* victim,
+                                 std::vector<Series>* healthy) {
+  ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 2), store));
+  const std::vector<Series> data = MakeSeries(300, 12000);
+  std::map<size_t, size_t> owners;
+  for (const Series& s : data) ++owners[(*store)->ShardForSeries(s)];
+  ASSERT_GT(owners.size(), 1u);
+  ASSERT_OK((*store)->InsertBatch(data));
+  ASSERT_OK((*store)->Flush());  // memtables -> run files (+ .sax sidecars)
+
+  *victim = SIZE_MAX;
+  for (size_t i = 0; i < (*store)->num_shards() && *victim == SIZE_MAX;
+       ++i) {
+    const std::string shard_dir = JoinPath(root, "shard-" + std::to_string(i));
+    for (const auto& entry :
+         std::filesystem::directory_iterator(shard_dir)) {
+      if (!entry.is_regular_file()) continue;
+      if (entry.path().extension() != ".sax") continue;
+      std::fstream f(entry.path(), std::ios::in | std::ios::out |
+                                       std::ios::binary);
+      ASSERT_TRUE(f.good());
+      f.seekg(0, std::ios::end);
+      const std::streamoff size = f.tellg();
+      ASSERT_GT(size, 0);
+      f.seekg(size / 2);
+      char b = 0;
+      f.read(&b, 1);
+      b = static_cast<char>(b ^ 0x01);
+      f.seekp(size / 2);
+      f.write(&b, 1);
+      *victim = i;
+      break;
+    }
+  }
+  ASSERT_NE(*victim, SIZE_MAX) << "no run sidecar found to corrupt";
+  healthy->clear();
+  for (const Series& s : data) {
+    if ((*store)->ShardForSeries(s) != *victim) healthy->push_back(s);
+  }
+  ASSERT_FALSE(healthy->empty());
+}
+
 TEST(ShardedStore, QueryEngineBatchMatchesSerialStoreSearch) {
+  // Two inputs: a healthy 4-shard store, and a 2-shard store whose live
+  // run sidecar is corrupt, so the first search of that shard quarantines
+  // it mid-batch. Either way the engine grid and the serial search must
+  // give the same answers, work counts and degraded flag.
   ScratchDir dir;
-  const std::vector<Series> data = MakeSeries(600, 93);
+  std::unique_ptr<ShardedStore> healthy_store;
+  ASSERT_OK(ShardedStore::Open(dir.File("store"), SmallStore(dir, 4),
+                               &healthy_store));
+  ASSERT_OK(healthy_store->InsertBatch(MakeSeries(600, 93)));
+  std::unique_ptr<ShardedStore> corrupt_store;
+  size_t victim = SIZE_MAX;
+  std::vector<Series> healthy;
+  ASSERT_NO_FATAL_FAILURE(OpenStoreWithCorruptSidecar(
+      dir, dir.File("corrupt"), &corrupt_store, &victim, &healthy));
   const std::vector<Series> queries = MakeSeries(24, 94);
-  std::unique_ptr<ShardedStore> store;
-  ASSERT_OK(ShardedStore::Open(dir.File("store"), SmallStore(dir, 4), &store));
-  ASSERT_OK(store->InsertBatch(data));
 
   ThreadPool pool(4);
   QueryEngine engine(&pool);
-  const ShardedStore::Snapshot snap = store->GetSnapshot();
-  for (const auto mode :
-       {QuerySpec::Mode::kExact, QuerySpec::Mode::kApprox}) {
-    QuerySpec spec;
-    spec.mode = mode;
-    spec.k = 3;
-    spec.approx_leaves = 2;
-    std::vector<SearchResult> batch;
-    ASSERT_OK(engine.ExecuteBatch(*store, snap, queries, spec, &batch));
-    ASSERT_EQ(batch.size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      SearchResult serial;
-      if (mode == QuerySpec::Mode::kExact) {
-        ASSERT_OK(store->ExactSearch(snap, queries[i].data(), &serial,
-                                     spec.k));
-      } else {
-        ASSERT_OK(store->ApproxSearch(snap, queries[i].data(),
-                                      spec.approx_leaves, &serial, spec.k));
-      }
-      ASSERT_EQ(batch[i].neighbors.size(), serial.neighbors.size());
-      for (size_t j = 0; j < serial.neighbors.size(); ++j) {
-        EXPECT_EQ(batch[i].neighbors[j].offset, serial.neighbors[j].offset);
-        EXPECT_EQ(batch[i].neighbors[j].distance,
-                  serial.neighbors[j].distance);
+  for (ShardedStore* store : {healthy_store.get(), corrupt_store.get()}) {
+    const bool corrupt = store == corrupt_store.get();
+    // Taken before any search, so on the corrupt store both paths meet
+    // the damaged shard.
+    const ShardedStore::Snapshot snap = store->GetSnapshot();
+    for (const auto mode :
+         {QuerySpec::Mode::kExact, QuerySpec::Mode::kApprox}) {
+      QuerySpec spec;
+      spec.mode = mode;
+      spec.k = 3;
+      // The serial exact search takes the window of one leaf.
+      spec.approx_leaves = mode == QuerySpec::Mode::kExact ? 1 : 2;
+      std::vector<SearchResult> batch;
+      ASSERT_OK(engine.ExecuteBatch(*store, snap, queries, spec, &batch));
+      ASSERT_EQ(batch.size(), queries.size());
+      for (size_t i = 0; i < queries.size(); ++i) {
+        SearchResult serial;
+        if (mode == QuerySpec::Mode::kExact) {
+          ASSERT_OK(store->ExactSearch(snap, queries[i].data(), &serial,
+                                       spec.k));
+        } else {
+          ASSERT_OK(store->ApproxSearch(snap, queries[i].data(),
+                                        spec.approx_leaves, &serial,
+                                        spec.k));
+        }
+        ASSERT_EQ(batch[i].neighbors.size(), serial.neighbors.size());
+        for (size_t j = 0; j < serial.neighbors.size(); ++j) {
+          EXPECT_EQ(batch[i].neighbors[j].offset, serial.neighbors[j].offset);
+          EXPECT_EQ(batch[i].neighbors[j].distance,
+                    serial.neighbors[j].distance);
+        }
+        EXPECT_EQ(batch[i].visited_records, serial.visited_records)
+            << "query " << i;
+        EXPECT_EQ(batch[i].degraded, serial.degraded) << "query " << i;
+        EXPECT_EQ(batch[i].degraded, corrupt) << "query " << i;
       }
     }
   }
+  EXPECT_EQ(healthy_store->QuarantinedShards(), 0u);
+  EXPECT_EQ(corrupt_store->QuarantinedShards(), 1u);
 }
 
 TEST(ShardedStore, ManifestRoundTripSurvivesCrashReopen) {
@@ -906,44 +978,15 @@ TEST(ShardedStoreDegraded, CorruptShardQuarantinesAndServesDegraded) {
 }
 
 TEST(ShardedStoreDegraded, ReadTimeChecksumFailureQuarantinesShard) {
+  // The first exact query lazily loads the corrupt sidecar, fails its
+  // checksum, and the store quarantines that shard mid-flight instead of
+  // failing reads store-wide.
   ScratchDir dir;
-  const std::string root = dir.File("store");
   std::unique_ptr<ShardedStore> store;
-  ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 2), &store));
-  const std::vector<Series> data = MakeSeries(300, 12000);
-  std::map<size_t, size_t> owners;
-  for (const Series& s : data) ++owners[store->ShardForSeries(s)];
-  ASSERT_GT(owners.size(), 1u);
-  ASSERT_OK(store->InsertBatch(data));
-  ASSERT_OK(store->Flush());  // memtables -> run files (+ .sax sidecars)
-
-  // Corrupt a run sidecar of one LIVE shard under the running store. The
-  // first exact query lazily loads it, fails its checksum, and the store
-  // quarantines that shard mid-flight instead of failing reads store-wide.
   size_t victim = SIZE_MAX;
-  for (size_t i = 0; i < store->num_shards() && victim == SIZE_MAX; ++i) {
-    const std::string shard_dir = JoinPath(root, "shard-" + std::to_string(i));
-    for (const auto& entry :
-         std::filesystem::directory_iterator(shard_dir)) {
-      if (!entry.is_regular_file()) continue;
-      if (entry.path().extension() != ".sax") continue;
-      std::fstream f(entry.path(), std::ios::in | std::ios::out |
-                                       std::ios::binary);
-      ASSERT_TRUE(f.good());
-      f.seekg(0, std::ios::end);
-      const std::streamoff size = f.tellg();
-      ASSERT_GT(size, 0);
-      f.seekg(size / 2);
-      char b = 0;
-      f.read(&b, 1);
-      b = static_cast<char>(b ^ 0x01);
-      f.seekp(size / 2);
-      f.write(&b, 1);
-      victim = i;
-      break;
-    }
-  }
-  ASSERT_NE(victim, SIZE_MAX) << "no run sidecar found to corrupt";
+  std::vector<Series> healthy;
+  ASSERT_NO_FATAL_FAILURE(OpenStoreWithCorruptSidecar(
+      dir, dir.File("store"), &store, &victim, &healthy));
 
   const std::vector<Series> queries = MakeSeries(4, 12001);
   SearchResult r;
@@ -963,6 +1006,71 @@ TEST(ShardedStoreDegraded, ReadTimeChecksumFailureQuarantinesShard) {
   EXPECT_TRUE(again.degraded);
   EXPECT_FALSE(store->InsertBatch(MakeSeries(5, 12002)).ok());
   EXPECT_FALSE(store->WriteHealth().ok());
+}
+
+TEST(ShardedStoreDegraded, ReadTimeCorruptionThroughEngineQuarantinesShard) {
+  ScratchDir dir;
+  std::unique_ptr<ShardedStore> store;
+  size_t victim = SIZE_MAX;
+  std::vector<Series> healthy;
+  ASSERT_NO_FATAL_FAILURE(OpenStoreWithCorruptSidecar(
+      dir, dir.File("store"), &store, &victim, &healthy));
+  const std::vector<Series> queries = MakeSeries(8, 12003);
+  ThreadPool pool(4);
+  QueryEngine engine(&pool);
+  auto expect_degraded_oracle = [&](const std::vector<SearchResult>& results,
+                                    bool exact) {
+    ASSERT_EQ(results.size(), queries.size());
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      EXPECT_TRUE(results[qi].degraded) << "query " << qi;
+      if (!exact) continue;
+      const std::vector<double> oracle = OracleTopK(healthy, queries[qi], 3);
+      ASSERT_EQ(results[qi].neighbors.size(), oracle.size());
+      for (size_t j = 0; j < oracle.size(); ++j) {
+        EXPECT_NEAR(results[qi].neighbors[j].distance, oracle[j], 1e-4)
+            << "query " << qi << " rank " << j;
+      }
+    }
+  };
+
+  // Both batches run against a snapshot that still holds the damaged
+  // shard: its cells fail the checksum, quarantine it, and the batch
+  // answers over the healthy shard.
+  const ShardedStore::Snapshot before = store->GetSnapshot();
+  EXPECT_FALSE(before.degraded);
+  for (const QuerySpec::Mode mode :
+       {QuerySpec::Mode::kExact, QuerySpec::Mode::kApprox}) {
+    QuerySpec spec;
+    spec.mode = mode;
+    spec.k = 3;
+    std::vector<SearchResult> results;
+    ASSERT_OK(engine.ExecuteBatch(*store, before, queries, spec, &results));
+    expect_degraded_oracle(results, mode == QuerySpec::Mode::kExact);
+  }
+  std::string detail;
+  EXPECT_EQ(store->QuarantinedShards(&detail), 1u);
+  EXPECT_NE(detail.find("shard " + std::to_string(victim)),
+            std::string::npos)
+      << detail;
+
+  // Later snapshots leave the shard out, so no search reads it again.
+  const ShardedStore::Snapshot after = store->GetSnapshot();
+  EXPECT_TRUE(after.degraded);
+  EXPECT_EQ(after.shards[victim].num_entries(), 0u);
+  EXPECT_EQ(after.num_entries(), healthy.size());
+  EXPECT_EQ(store->num_entries(), healthy.size());
+  Counter* failed = MetricRegistry::Default().GetCounter("io.checksum.failed");
+  const uint64_t failed_before = failed->Value();
+  QuerySpec spec;
+  spec.k = 3;
+  std::vector<SearchResult> results;
+  ASSERT_OK(engine.ExecuteBatch(*store, queries, spec, &results));
+  expect_degraded_oracle(results, /*exact=*/true);
+  SearchResult serial;
+  ASSERT_OK(store->ExactSearch(queries[0].data(), &serial, 3));
+  EXPECT_TRUE(serial.degraded);
+  EXPECT_EQ(failed->Value(), failed_before);
+  EXPECT_EQ(store->QuarantinedShards(), 1u);
 }
 
 // --- Atomic cross-shard visibility ------------------------------------------
