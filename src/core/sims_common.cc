@@ -60,6 +60,7 @@ void SimsArrays::Attach(const std::string& path) {
   file_.reset();
   (void)RandomAccessFile::Open(path, &file_);
   loaded_.store(false, std::memory_order_release);
+  corrupt_ = Status::OK();
   sax_.clear();
   offsets_.clear();
 }
@@ -69,6 +70,7 @@ Status SimsArrays::Load(uint64_t n, size_t w,
   if (loaded_.load(std::memory_order_acquire)) return Status::OK();
   MutexLock lock(&mu_);
   if (loaded_.load(std::memory_order_relaxed)) return Status::OK();
+  if (!corrupt_.ok()) return corrupt_;
   if (file_ == nullptr) {
     // Attach tolerated a missing sidecar; retry so a later-restored file
     // still works.
@@ -76,7 +78,8 @@ Status SimsArrays::Load(uint64_t n, size_t w,
   }
   const size_t rec_bytes = w + 8;
   if (file_->size() != n * rec_bytes) {
-    return Status::Corruption("sidecar size mismatch");
+    corrupt_ = Status::Corruption("sidecar size mismatch: " + path_);
+    return corrupt_;
   }
   sax_.resize(n * w);
   offsets_.resize(n);
@@ -107,7 +110,8 @@ Status SimsArrays::Load(uint64_t n, size_t w,
       failed->Increment();
       sax_.clear();
       offsets_.clear();
-      return Status::Corruption("sidecar checksum mismatch: " + path_);
+      corrupt_ = Status::Corruption("sidecar checksum mismatch: " + path_);
+      return corrupt_;
     }
     verified->Increment();
   }

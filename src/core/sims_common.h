@@ -117,7 +117,9 @@ class SimsArrays {
   /// Loads `n` records of `w`-byte SAX words plus an 8-byte offset, in
   /// ~4 MiB reads, verifying the whole file against `crc` when the index
   /// format carries one. Concurrent callers block until the first load
-  /// finishes; a failed load is retried by the next caller.
+  /// finishes. A `Corruption` is latched: later calls return it without
+  /// re-reading the file, until the next Attach. Other failures (a missing
+  /// sidecar, an I/O error) are retried by the next caller.
   Status Load(uint64_t n, size_t w, std::optional<uint32_t> crc) const;
 
   const uint8_t* sax() const { return sax_.data(); }
@@ -128,6 +130,7 @@ class SimsArrays {
   mutable Mutex mu_;
   mutable std::unique_ptr<RandomAccessFile> file_ GUARDED_BY(mu_);
   mutable std::atomic<bool> loaded_{false};
+  mutable Status corrupt_ GUARDED_BY(mu_);  // the latched Corruption
   // No GUARDED_BY: after the latch publishes, readers touch the arrays
   // without the mutex (the release/acquire pair is the ordering).
   mutable std::vector<uint8_t> sax_;       // n * w bytes

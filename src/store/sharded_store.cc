@@ -32,6 +32,8 @@ ZKey KeyFromWords(const uint64_t words[ZKey::kWords]) {
 /// Lower bound of shard `index` when the 256-bit key space is split into
 /// `num_shards` even ranges: floor(index * 2^256 / num_shards), computed by
 /// base-2^64 long division (the numerator's digits are [index, 0, 0, 0, 0]).
+/// Every new store starts from this split; it stays unless the store's
+/// first batch can replace it with key quantiles (TakeBoundariesLocked).
 ZKey ShardLowerBound(size_t index, size_t num_shards) {
   uint64_t words[ZKey::kWords];
   unsigned __int128 rem = index;  // index < num_shards, so digit 0 yields 0
@@ -132,6 +134,9 @@ Status ShardedStore::Open(const std::string& dir, const StoreOptions& options,
   store->dir_ = dir;
   store->pool_ = ThreadPool::Shared();
   COCONUT_RETURN_IF_ERROR(MakeDirs(dir));
+  // The store is not shared yet: the lock is uncontended and only satisfies
+  // the annotations of the members it guards.
+  MutexLock commit_lock(&store->commit_mu_);
 
   const size_t series_length = options.forest.tree.summary.series_length;
   if (StoreManifestExists(dir)) {
@@ -144,9 +149,6 @@ Status ShardedStore::Open(const std::string& dir, const StoreOptions& options,
     }
     // Replay the epoch journal BEFORE any forest opens: torn shard tails
     // must be truncated away before recovery bulk-loads the raw files.
-    // (The store is not shared yet; the lock just satisfies the guarded
-    // next_epoch_ write and is uncontended.)
-    MutexLock commit_lock(&store->commit_mu_);
     COCONUT_RETURN_IF_ERROR(RecoverFromJournal(dir, &store->manifest_,
                                                &store->next_epoch_));
     // Persist the recovered state, then retire the applied records. The
@@ -244,8 +246,12 @@ Status ShardedStore::Open(const std::string& dir, const StoreOptions& options,
 }
 
 size_t ShardedStore::ShardForKey(const ZKey& key) const {
-  // Largest shard whose lower bound is <= key; boundaries are immutable
-  // after Open, so no lock is needed.
+  MutexLock commit_lock(&commit_mu_);
+  return ShardForKeyLocked(key);
+}
+
+size_t ShardedStore::ShardForKeyLocked(const ZKey& key) const {
+  // Largest shard whose lower bound is <= key.
   size_t lo = 0, hi = manifest_.shards.size();
   while (lo + 1 < hi) {
     const size_t mid = lo + (hi - lo) / 2;
@@ -261,6 +267,40 @@ size_t ShardedStore::ShardForKey(const ZKey& key) const {
 size_t ShardedStore::ShardForSeries(const Series& series) const {
   return ShardForKey(
       InvSaxFromSeries(series.data(), options_.forest.tree.summary));
+}
+
+StoreManifest ShardedStore::manifest() const {
+  MutexLock commit_lock(&commit_mu_);
+  return manifest_;
+}
+
+Status ShardedStore::TakeBoundariesLocked(const std::vector<ZKey>& keys) {
+  const size_t n = shards_.size();
+  if (n < 2 || keys.size() < kBoundarySeriesPerShard * n) return Status::OK();
+  // Boundaries are final once any shard holds a series. The raw files are
+  // persisted state, so an empty store reopened after a crash still
+  // qualifies.
+  for (const auto& shard : shards_) {
+    if (shard->raw_size() != 0) return Status::OK();
+  }
+  std::vector<ZKey> sorted = keys;
+  std::sort(sorted.begin(), sorted.end());
+  StoreManifest manifest = manifest_;
+  for (size_t i = 1; i < n; ++i) {
+    const ZKey& bound = sorted[i * sorted.size() / n];
+    // Ties between ranks would leave a shard without a range: keep the even
+    // split.
+    if (!(manifest.shards[i - 1].lower_bound < bound)) return Status::OK();
+    manifest.shards[i].lower_bound = bound;
+  }
+  // Commit the boundaries before the batch is journaled or staged: a crash
+  // on either side of the atomic rename reopens an empty store under the
+  // old or the new boundaries, and the next first batch picks again. A
+  // failed write may or may not have renamed, so the store poisons rather
+  // than route under boundaries the disk may not hold.
+  COCONUT_RETURN_IF_ERROR(Poison(WriteStoreManifest(dir_, manifest)));
+  manifest_ = std::move(manifest);
+  return Status::OK();
 }
 
 Status ShardedStore::Poison(const Status& cause) {
@@ -332,10 +372,12 @@ Status ShardedStore::Insert(const Series& series) {
   if (series.size() != options_.forest.tree.summary.series_length) {
     return Status::InvalidArgument("series length mismatch");
   }
-  const size_t shard = ShardForSeries(series);
+  const ZKey key =
+      InvSaxFromSeries(series.data(), options_.forest.tree.summary);
   MutexLock commit_lock(&commit_mu_);
   COCONUT_RETURN_IF_ERROR(PoisonStatus());
   COCONUT_RETURN_IF_ERROR(QuarantineWriteCheck());
+  const size_t shard = ShardForKeyLocked(key);
   return TagShard(shard, shards_[shard]->Insert(series));
 }
 
@@ -348,21 +390,27 @@ Status ShardedStore::InsertBatch(const std::vector<Series>& batch,
       return Status::InvalidArgument("series length mismatch");
     }
   }
-  // Route every series (invSAX summarization) before taking the commit
-  // lock: summarizing is pure CPU work on caller-owned data.
-  std::vector<size_t> owner(batch.size());
-  bool single_shard = true;
+  // Summarize every series to its invSAX key before taking the commit
+  // lock: pure CPU work on caller-owned data. Only the key->shard mapping
+  // runs under the lock, where the boundaries cannot move.
+  std::vector<ZKey> keys(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    owner[i] = ShardForSeries(batch[i]);
-    if (owner[i] != owner[0]) single_shard = false;
+    keys[i] = InvSaxFromSeries(batch[i].data(), options_.forest.tree.summary);
   }
 
   MutexLock commit_lock(&commit_mu_);
   COCONUT_RETURN_IF_ERROR(PoisonStatus());
   COCONUT_RETURN_IF_ERROR(QuarantineWriteCheck());
   // Clean abort point: nothing journaled, nothing staged — an expired
-  // deadline here costs the caller nothing but the routing work above.
+  // deadline here costs the caller nothing but the summarizing above.
   COCONUT_RETURN_IF_ERROR(ctx.Check("store.insert"));
+  COCONUT_RETURN_IF_ERROR(TakeBoundariesLocked(keys));
+  std::vector<size_t> owner(batch.size());
+  bool single_shard = true;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    owner[i] = ShardForKeyLocked(keys[i]);
+    if (owner[i] != owner[0]) single_shard = false;
+  }
   if (single_shard) {
     // Fast path (always taken by 1-shard stores): the epoch journal is
     // skipped entirely. Crash semantics are the unsharded forest's

@@ -8,6 +8,11 @@
 // (src/store/manifest.h) pins the shard count and boundaries so a store
 // reopened after a restart routes keys identically.
 //
+// A new store's boundaries are even ranges of the key space until its first
+// InsertBatch: a batch large enough to sample (kBoundarySeriesPerShard series
+// per shard) places them at its own key quantiles, so skewed data still
+// fills the shards equally. They are final once any series is stored.
+//
 // Writes route by invSAX key to the owning shard; batch inserts are split
 // per shard and the sub-batches staged concurrently on the shared
 // ThreadPool (the calling thread works one sub-batch itself, so a saturated
@@ -116,6 +121,9 @@ class ShardedStore {
   /// Bits of an encoded offset reserved for the local raw-file offset; the
   /// shard id lives in the bits above (48 bits ≈ 256 TiB per shard file).
   static constexpr unsigned kShardOffsetBits = 48;
+  /// Series per shard a store's first InsertBatch must hold for its key
+  /// quantiles to become the shard boundaries.
+  static constexpr size_t kBoundarySeriesPerShard = 64;
 
   /// A point-in-time view of the whole store: one forest snapshot per
   /// shard, indexed by shard id. Cheap to copy; queries against it never
@@ -141,9 +149,11 @@ class ShardedStore {
 
   /// Opens (creating if needed) the store rooted at `dir`. A new store is
   /// partitioned into options.num_shards even key ranges and its manifest
-  /// committed before any data is written; an existing store is reopened
-  /// from its manifest (each shard forest recovers its runs from the
-  /// shard's raw dataset file).
+  /// committed before any data is written; while every shard is still
+  /// empty, a large enough InsertBatch moves the boundaries to its key
+  /// quantiles (see InsertBatch). An existing store is reopened from its
+  /// manifest (each shard forest recovers its runs from the shard's raw
+  /// dataset file) with the boundaries it has.
   ///
   /// Degraded reopen: a shard whose raw file fails its checksum scan is
   /// first salvaged (truncated back to the longest checksum-valid prefix,
@@ -161,7 +171,12 @@ class ShardedStore {
   Status Insert(const Series& series);
 
   /// Splits the batch by invSAX key and stages the per-shard sub-batches
-  /// concurrently on the shared pool. A batch touching a single shard
+  /// concurrently on the shared pool. On a store that has never held a
+  /// series, a batch of at least kBoundarySeriesPerShard * num_shards()
+  /// series first sets the boundaries: shard i starts at the batch's key of
+  /// rank floor(i * size / num_shards), and the MANIFEST is rewritten with
+  /// them before the batch is journaled. Tied ranks (bounds not strictly
+  /// increasing) keep the even split. A batch touching a single shard
   /// (always true for 1-shard stores) takes the journal-free fast path; a
   /// multi-shard batch commits atomically under the epoch protocol. OK
   /// means the whole batch is committed and published (deferred
@@ -240,9 +255,11 @@ class ShardedStore {
   }
 
   /// Shard id owning `key` (binary search over the manifest boundaries).
-  size_t ShardForKey(const ZKey& key) const;
+  /// Takes the commit lock, so it waits for an in-flight write and never
+  /// sees boundaries a first batch is setting.
+  size_t ShardForKey(const ZKey& key) const EXCLUDES(commit_mu_);
   /// Shard id owning `series` (summarize, then route).
-  size_t ShardForSeries(const Series& series) const;
+  size_t ShardForSeries(const Series& series) const EXCLUDES(commit_mu_);
 
   /// Write-path health: OK while the store accepts writes, or the poison
   /// status after a torn cross-shard commit / the quarantine status while
@@ -266,7 +283,9 @@ class ShardedStore {
   }
   /// The shard's raw dataset file (local offsets point into this).
   const std::string& shard_raw_path(size_t i) const { return raw_paths_[i]; }
-  const StoreManifest& manifest() const { return manifest_; }
+  /// A copy of the in-memory manifest (boundaries and the counts of its
+  /// last commit), taken under the commit lock.
+  StoreManifest manifest() const EXCLUDES(commit_mu_);
 
  private:
   ShardedStore() = default;
@@ -275,6 +294,14 @@ class ShardedStore {
   /// executes one shard itself) and returns the first failure.
   Status ForEachShardParallel(
       const std::function<Status(size_t)>& fn) const;
+  /// ShardForKey's binary search; the caller holds the lock that keeps the
+  /// boundaries still.
+  size_t ShardForKeyLocked(const ZKey& key) const REQUIRES(commit_mu_);
+  /// Moves the boundaries to the quantiles of `keys` (one batch's invSAX
+  /// keys) and commits them to the MANIFEST, when the store has never held
+  /// a series and the batch is large and untied enough; otherwise a no-op.
+  Status TakeBoundariesLocked(const std::vector<ZKey>& keys)
+      REQUIRES(commit_mu_);
   /// Re-commits the manifest with current advisory entry counts and the
   /// last committed epoch, then checkpoints (resets) the journal — its
   /// records are all obsolete once the manifest holds the epoch floor.
@@ -320,7 +347,9 @@ class ShardedStore {
 
   StoreOptions options_;
   std::string dir_;
-  StoreManifest manifest_;
+  // The boundaries change once, in TakeBoundariesLocked, and routing reads
+  // them, so both sides hold commit_mu_.
+  StoreManifest manifest_ GUARDED_BY(commit_mu_);
   ThreadPool* pool_ = nullptr;
   std::vector<std::unique_ptr<CoconutForest>> shards_;
   std::vector<std::string> raw_paths_;
@@ -329,8 +358,8 @@ class ShardedStore {
   // Store-level writers (Insert/InsertBatch/Flush/CompactAll) serialize on
   // commit_mu_: epochs are assigned, journaled, staged, and published in
   // order (the group-commit discipline — batching concurrent writers into
-  // one epoch is the named follow-on). The manifest is also re-committed
-  // under this lock.
+  // one epoch is the named follow-on). The manifest is also re-committed,
+  // and routed through, under this lock.
   mutable Mutex commit_mu_;
   // Next epoch to assign; always above every epoch ever journaled, even
   // across reopens.

@@ -482,6 +482,8 @@ TEST(StoreDeadline, MidCommitCancellationPublishesNothingAndRecovers) {
   {
     std::unique_ptr<ShardedStore> store;
     ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 3), &store));
+    // The first batch (160) is below the 3-shard boundary floor, so the
+    // even split routing `torn` here stays.
     std::map<size_t, size_t> owners;
     for (const Series& s : torn) ++owners[store->ShardForSeries(s)];
     ASSERT_GT(owners.size(), 1u) << "torn batch routed to a single shard";

@@ -6,8 +6,9 @@
 //  * a CoconutForest with a memtable plus several runs, where duplicates
 //    and ties straddle the memtable and a run, and one query's true
 //    neighbours all sit in the memtable (its bound must prune the runs);
-//  * a ShardedStore with 1, 2 and 4 shards of the same shape, through
-//    QueryEngine on 1-thread and 4-thread pools.
+//  * a ShardedStore with 1, 2, 4 and 8 shards of the same shape, through
+//    QueryEngine on 1-thread and 4-thread pools, whose first batch is large
+//    enough to set the shard boundaries.
 // Approximate search is checked too. On a Coconut-Tree it must return the
 // brute-force top-k over the entries of the query's leaf window, found from
 // the tree's public API. With a window that covers every page, it must
@@ -45,7 +46,7 @@ constexpr size_t kLength = 64;
 constexpr size_t kKs[] = {1, 7, 50};
 constexpr size_t kApproxLeaves[] = {1, 3};
 constexpr size_t kRuns = 3;
-constexpr size_t kShards[] = {1, 2, 4};
+constexpr size_t kShards[] = {1, 2, 4, 8};
 constexpr size_t kThreads[] = {1, 4};
 
 /// One randomized configuration, derived entirely from its seed.
@@ -373,11 +374,48 @@ TEST_P(ExactnessOracle, ForestMatchesBruteForce) {
   }
 }
 
+/// Checks the boundaries a store's first batch left: the batch's key
+/// quantiles (shard i starts at the key of rank floor(i * n / N)), or
+/// `before`, the even split, where tied ranks give no strictly increasing
+/// split (cardinality_bits=1 can tie the ranks of an 8-shard store).
+void ExpectBoundariesFromFirstBatch(const ShardedStore& store,
+                                    const std::vector<ZKey>& before,
+                                    const std::vector<Series>& first,
+                                    const SummaryOptions& summary) {
+  std::vector<ZKey> keys;
+  for (const Series& s : first) {
+    keys.push_back(InvSaxFromSeries(s.data(), summary));
+  }
+  std::sort(keys.begin(), keys.end());
+  const size_t n = store.num_shards();
+  std::vector<ZKey> quantiles(n);
+  bool increasing = true;
+  for (size_t i = 1; i < n; ++i) {
+    quantiles[i] = keys[i * keys.size() / n];
+    increasing = increasing && quantiles[i - 1] < quantiles[i];
+  }
+  std::vector<ZKey> bounds;
+  for (const ShardInfo& info : store.manifest().shards) {
+    bounds.push_back(info.lower_bound);
+  }
+  EXPECT_EQ(bounds, increasing ? quantiles : before);
+}
+
 TEST_P(ExactnessOracle, StoreThroughQueryEngineMatchesBruteForce) {
   const OracleCase& c = GetParam();
   std::mt19937_64 rng(c.seed);
-  const LayeredWorkload lw = MakeLayeredWorkload(&rng);
+  LayeredWorkload lw = MakeLayeredWorkload(&rng);
   const CoconutOptions tree = MakeOptions(&rng, c.materialized, "");
+  // Pad the first group, the store's first batch, to the boundary floor of
+  // the widest store, so every store takes its boundaries from it.
+  auto gen = MakeGenerator(DatasetKind::kRandomWalk, kLength, rng());
+  const size_t floor =
+      ShardedStore::kBoundarySeriesPerShard *
+      *std::max_element(std::begin(kShards), std::end(kShards));
+  while (lw.groups[0].size() < floor) {
+    lw.groups[0].push_back(gen->NextSeries());
+    lw.all.data.push_back(lw.groups[0].back());
+  }
   for (size_t shards : kShards) {
     ScratchDir dir;
     StoreOptions opts;
@@ -388,8 +426,16 @@ TEST_P(ExactnessOracle, StoreThroughQueryEngineMatchesBruteForce) {
     opts.forest.max_runs = 8;
     std::unique_ptr<ShardedStore> store;
     ASSERT_OK(ShardedStore::Open(dir.File("store"), opts, &store));
+    std::vector<ZKey> even;
+    for (const ShardInfo& info : store->manifest().shards) {
+      even.push_back(info.lower_bound);
+    }
     for (size_t g = 0; g < lw.groups.size(); ++g) {
       ASSERT_OK(store->InsertBatch(lw.groups[g]));
+      if (g == 0) {
+        ExpectBoundariesFromFirstBatch(*store, even, lw.groups[0],
+                                       tree.summary);
+      }
       if (g < kRuns) ASSERT_OK(store->Flush());
     }
     const ShardedStore::Snapshot snap = store->GetSnapshot();

@@ -158,6 +158,8 @@ TEST(FaultTorture, CrashAndCorruptRounds) {
     // multi-shard path; a single-shard batch would sail past them and the
     // round would test nothing. Leave ~1/3 of rounds fault-free so the
     // committed prefix keeps growing no matter which faults the seed draws.
+    // Batches stay below the boundary floor (64 per shard), so the even
+    // split routes the first one too.
     std::map<size_t, size_t> owners;
     for (const Series& s : batch) ++owners[store->ShardForSeries(s)];
     const bool multi_shard = owners.size() > 1;

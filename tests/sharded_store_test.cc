@@ -167,11 +167,12 @@ void OpenStoreWithCorruptSidecar(const ScratchDir& dir,
                                  std::vector<Series>* healthy) {
   ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 2), store));
   const std::vector<Series> data = MakeSeries(300, 12000);
+  ASSERT_OK((*store)->InsertBatch(data));
+  ASSERT_OK((*store)->Flush());  // memtables -> run files (+ .sax sidecars)
+  // Routed after the first batch, which set the boundaries.
   std::map<size_t, size_t> owners;
   for (const Series& s : data) ++owners[(*store)->ShardForSeries(s)];
   ASSERT_GT(owners.size(), 1u);
-  ASSERT_OK((*store)->InsertBatch(data));
-  ASSERT_OK((*store)->Flush());  // memtables -> run files (+ .sax sidecars)
 
   *victim = SIZE_MAX;
   for (size_t i = 0; i < (*store)->num_shards() && *victim == SIZE_MAX;
@@ -513,7 +514,8 @@ TEST(ShardedStoreRecovery, KillPointMatrixYieldsCommittedPrefix) {
       std::unique_ptr<ShardedStore> store;
       ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 3), &store));
       // The torn batch must actually be multi-shard or the journal-free
-      // fast path would dodge the kill point.
+      // fast path would dodge the kill point. Every batch here is below
+      // the boundary floor (64 per shard), so the even split routes it.
       std::map<size_t, size_t> owners;
       for (const Series& s : torn) ++owners[store->ShardForSeries(s)];
       ASSERT_GT(owners.size(), 1u) << "torn batch routed to a single shard";
@@ -576,6 +578,7 @@ TEST(ShardedStoreRecovery, TornCommitStatusNamesFailedShards) {
 
   std::unique_ptr<ShardedStore> store;
   ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 4), &store));
+  // 120 series is below the 4-shard boundary floor: the even split stays.
   std::map<size_t, size_t> owners;
   for (const Series& s : batch) ++owners[store->ShardForSeries(s)];
   ASSERT_GT(owners.size(), 1u);
@@ -619,7 +622,8 @@ TEST(ShardedStore, WriteHealthRespondsDuringInFlightCommit) {
 
   const std::vector<Series> batch = MakeSeries(120, 4200);
   // Must be multi-shard, or the journal-free fast path would skip the
-  // epoch protocol (and its kShardStage hook) entirely.
+  // epoch protocol (and its kShardStage hook) entirely. 120 series is below
+  // the 2-shard boundary floor, so routing it now is final.
   std::map<size_t, size_t> owners;
   for (const Series& s : batch) ++owners[store->ShardForSeries(s)];
   ASSERT_GT(owners.size(), 1u);
@@ -693,7 +697,8 @@ TEST(ShardedStoreRecovery, FlushCheckpointsTheJournal) {
   const std::vector<Series> data = MakeSeries(200, 9900);
   // Both batches must be multi-shard or the journal-free fast path would
   // leave the journal untouched and the size expectations below would
-  // misfire at the wrong cause.
+  // misfire at the wrong cause. Each is below the 3-shard boundary floor,
+  // so the even split routes both.
   std::map<size_t, size_t> first_owners, second_owners;
   for (size_t i = 0; i < 100; ++i) {
     ++first_owners[store->ShardForSeries(data[i])];
@@ -762,6 +767,7 @@ TEST(ShardedStoreRecovery, SizeTriggeredJournalCheckpoint) {
   uint64_t header_only = 0;
   ASSERT_OK(FileSize(JoinPath(root, kStoreJournalName), &header_only));
 
+  // Below the 3-shard boundary floor: the even split routes this batch.
   const std::vector<Series> data = MakeSeries(120, 9700);
   std::map<size_t, size_t> owners;
   for (const Series& s : data) ++owners[store->ShardForSeries(s)];
@@ -795,6 +801,241 @@ TEST(ShardedStoreRecovery, SizeTriggeredJournalCheckpoint) {
   store.reset();
   ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 3), &store));
   EXPECT_EQ(store->num_entries(), data.size() + more.size());
+}
+
+// --- Shard boundaries from the first batch -----------------------------------
+
+/// The lower bounds in the store's manifest, by shard.
+std::vector<ZKey> BoundsOf(const ShardedStore& store) {
+  std::vector<ZKey> bounds;
+  for (const ShardInfo& info : store.manifest().shards) {
+    bounds.push_back(info.lower_bound);
+  }
+  return bounds;
+}
+
+/// The boundaries a first batch of `batch` sets on a `shards`-shard store:
+/// shard i starts at the key of rank floor(i * n / shards), shard 0 at the
+/// zero key.
+std::vector<ZKey> QuantileBounds(const ScratchDir& dir,
+                                 const std::vector<Series>& batch,
+                                 size_t shards) {
+  const SummaryOptions summary = SmallStore(dir, shards).forest.tree.summary;
+  std::vector<ZKey> keys;
+  for (const Series& s : batch) {
+    keys.push_back(InvSaxFromSeries(s.data(), summary));
+  }
+  std::sort(keys.begin(), keys.end());
+  std::vector<ZKey> bounds(shards);
+  for (size_t i = 1; i < shards; ++i) {
+    bounds[i] = keys[i * keys.size() / shards];
+  }
+  return bounds;
+}
+
+/// Every shard holds exactly the series of `data` that the store's current
+/// boundaries route to it.
+void ExpectRoutedUnderCurrentBounds(const ShardedStore& store,
+                                    const std::vector<Series>& data) {
+  std::vector<uint64_t> routed(store.num_shards(), 0);
+  for (const Series& s : data) ++routed[store.ShardForSeries(s)];
+  const ShardedStore::Snapshot snap = store.GetSnapshot();
+  for (size_t i = 0; i < store.num_shards(); ++i) {
+    EXPECT_EQ(snap.shards[i].num_entries(), routed[i]) << "shard " << i;
+  }
+}
+
+TEST(ShardedStoreBoundaries, FirstBatchSetsFinalQuantileBoundaries) {
+  ScratchDir dir;
+  const std::string root = dir.File("store");
+  constexpr size_t kShards = 4;
+  // Exactly at the floor: the smallest batch that sets the boundaries.
+  const std::vector<Series> first =
+      MakeSeries(ShardedStore::kBoundarySeriesPerShard * kShards, 13000);
+  const std::vector<ZKey> expected = QuantileBounds(dir, first, kShards);
+  std::vector<Series> all = first;
+  {
+    std::unique_ptr<ShardedStore> store;
+    ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, kShards), &store));
+    ASSERT_NE(BoundsOf(*store), expected);
+    ASSERT_OK(store->InsertBatch(first));
+    const std::vector<ZKey> bounds = BoundsOf(*store);
+    EXPECT_EQ(bounds, expected);
+    EXPECT_EQ(bounds[0], ZKey());
+    for (size_t i = 1; i < bounds.size(); ++i) {
+      EXPECT_LT(bounds[i - 1], bounds[i]) << "shard " << i;
+    }
+    ExpectRoutedUnderCurrentBounds(*store, all);
+
+    // A later batch, however large, never moves them.
+    const std::vector<Series> more = MakeSeries(1024, 13001);
+    ASSERT_OK(store->InsertBatch(more));
+    all.insert(all.end(), more.begin(), more.end());
+    EXPECT_EQ(BoundsOf(*store), expected);
+    ExpectRoutedUnderCurrentBounds(*store, all);
+  }
+
+  // They survive a reopen (which asks for another shard count) and keep
+  // routing the stored data and later batches.
+  std::unique_ptr<ShardedStore> store;
+  ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 7), &store));
+  EXPECT_EQ(BoundsOf(*store), expected);
+  ExpectRoutedUnderCurrentBounds(*store, all);
+  const std::vector<Series> after_reopen = MakeSeries(1024, 13002);
+  ASSERT_OK(store->InsertBatch(after_reopen));
+  all.insert(all.end(), after_reopen.begin(), after_reopen.end());
+  EXPECT_EQ(BoundsOf(*store), expected);
+  ExpectRoutedUnderCurrentBounds(*store, all);
+}
+
+TEST(ShardedStoreBoundaries, InsertSmallOrTiedFirstBatchKeepsEvenSplit) {
+  constexpr size_t kShards = 4;
+  ScratchDir dir;
+  const std::vector<Series> big = MakeSeries(1024, 13100);
+  auto open = [&](const std::string& name,
+                  std::unique_ptr<ShardedStore>* store) {
+    ASSERT_OK(ShardedStore::Open(dir.File(name), SmallStore(dir, kShards),
+                                 store));
+  };
+  std::vector<ZKey> even;
+  {
+    std::unique_ptr<ShardedStore> store;
+    ASSERT_NO_FATAL_FAILURE(open("fresh", &store));
+    even = BoundsOf(*store);
+  }
+  ASSERT_NE(even, QuantileBounds(dir, big, kShards));
+
+  // A first Insert makes the store non-empty, so the large batch after it
+  // is no first batch.
+  {
+    std::unique_ptr<ShardedStore> store;
+    ASSERT_NO_FATAL_FAILURE(open("insert-first", &store));
+    ASSERT_OK(store->Insert(big[0]));
+    ASSERT_OK(store->InsertBatch(big));
+    EXPECT_EQ(BoundsOf(*store), even);
+  }
+  // One series short of the floor: no sample, and again the large batch
+  // after it finds the store non-empty.
+  {
+    std::unique_ptr<ShardedStore> store;
+    ASSERT_NO_FATAL_FAILURE(open("small-first", &store));
+    const std::vector<Series> small(
+        big.begin(),
+        big.begin() + ShardedStore::kBoundarySeriesPerShard * kShards - 1);
+    ASSERT_OK(store->InsertBatch(small));
+    EXPECT_EQ(BoundsOf(*store), even);
+    ASSERT_OK(store->InsertBatch(big));
+    EXPECT_EQ(BoundsOf(*store), even);
+    std::vector<Series> all = small;
+    all.insert(all.end(), big.begin(), big.end());
+    ExpectRoutedUnderCurrentBounds(*store, all);
+  }
+  // All-identical series tie at every rank: no strictly increasing split.
+  {
+    std::unique_ptr<ShardedStore> store;
+    ASSERT_NO_FATAL_FAILURE(open("tied-first", &store));
+    const std::vector<Series> same(1024, big[0]);
+    ASSERT_OK(store->InsertBatch(same));
+    EXPECT_EQ(BoundsOf(*store), even);
+    EXPECT_EQ(store->num_entries(), same.size());
+    ExpectRoutedUnderCurrentBounds(*store, same);
+  }
+}
+
+TEST(ShardedStoreBoundaries, RacingFirstBatchesAgreeOnOneBoundarySet) {
+  // Two writers race the first InsertBatch of an empty store while a third
+  // thread routes: one batch sets the boundaries, the other finds the store
+  // non-empty, and every series lands where the final boundaries route it.
+  constexpr size_t kShards = 4;
+  ScratchDir dir;
+  const std::string root = dir.File("store");
+  const std::vector<Series> a = MakeSeries(512, 13200);
+  const std::vector<Series> b = MakeSeries(512, 13201);
+  std::unique_ptr<ShardedStore> store;
+  ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, kShards), &store));
+
+  std::atomic<bool> go{false};
+  auto writer = [&](const std::vector<Series>* batch) {
+    while (!go.load()) std::this_thread::yield();
+    EXPECT_OK(store->InsertBatch(*batch));
+  };
+  std::thread writer_a(writer, &a);
+  std::thread writer_b(writer, &b);
+  std::thread router([&]() {
+    while (!go.load()) std::this_thread::yield();
+    for (const Series& s : a) (void)store->ShardForSeries(s);
+  });
+  go.store(true);
+  writer_a.join();
+  writer_b.join();
+  router.join();
+
+  const std::vector<ZKey> bounds = BoundsOf(*store);
+  EXPECT_TRUE(bounds == QuantileBounds(dir, a, kShards) ||
+              bounds == QuantileBounds(dir, b, kShards));
+  std::vector<Series> all = a;
+  all.insert(all.end(), b.begin(), b.end());
+  EXPECT_EQ(store->num_entries(), all.size());
+  ExpectRoutedUnderCurrentBounds(*store, all);
+
+  store.reset();
+  ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, kShards), &store));
+  EXPECT_EQ(BoundsOf(*store), bounds);
+  ExpectRoutedUnderCurrentBounds(*store, all);
+}
+
+TEST(ShardedStoreBoundaries, FirstBatchTornAfterBeginReopensEmpty) {
+  // The MANIFEST takes the new boundaries before the begin record, so a
+  // first batch torn after it reopens as an empty store under them — and,
+  // still empty, the store lets its next first batch choose again.
+  FailpointGuard failpoints;
+  constexpr size_t kShards = 4;
+  ScratchDir dir;
+  const std::string root = dir.File("store");
+  const std::vector<Series> torn = MakeSeries(1024, 13300);
+  {
+    std::unique_ptr<ShardedStore> store;
+    ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, kShards), &store));
+    Failpoints::Default().ArmError("store.commit.after_begin");
+    EXPECT_FALSE(store->InsertBatch(torn).ok());
+    Failpoints::Default().DisarmAll();
+  }
+
+  StoreManifest m;
+  ASSERT_OK(ReadStoreManifest(root, &m));  // validates the boundaries
+  std::unique_ptr<ShardedStore> store;
+  ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, kShards), &store));
+  EXPECT_EQ(store->num_entries(), 0u);
+  EXPECT_EQ(BoundsOf(*store), QuantileBounds(dir, torn, kShards));
+
+  const std::vector<Series> next = MakeSeries(1024, 13301);
+  ASSERT_OK(store->InsertBatch(next));
+  EXPECT_EQ(BoundsOf(*store), QuantileBounds(dir, next, kShards));
+  ExpectRoutedUnderCurrentBounds(*store, next);
+  ExpectStoreMatchesUnshardedForest(dir, store.get(), next, "torn-first");
+}
+
+TEST(ShardedStoreBoundaries, RandomWalkBatchesFillShardsEvenly) {
+  // With the even split, z-normalized random walks crowd the two outer
+  // shards (the largest holds about 44%); boundaries from the first batch
+  // keep every shard near a quarter.
+  constexpr size_t kShards = 4;
+  ScratchDir dir;
+  StoreOptions opts = SmallStore(dir, kShards);
+  opts.forest.memtable_series = 8192;  // no flushes: this is about routing
+  std::unique_ptr<ShardedStore> store;
+  ASSERT_OK(ShardedStore::Open(dir.File("store"), opts, &store));
+  for (uint64_t b = 0; b < 16; ++b) {
+    ASSERT_OK(store->InsertBatch(MakeSeries(1024, 13400 + b)));
+  }
+  const ShardedStore::Snapshot snap = store->GetSnapshot();
+  ASSERT_EQ(snap.num_entries(), 16u * 1024);
+  for (size_t i = 0; i < kShards; ++i) {
+    const double share = static_cast<double>(snap.shards[i].num_entries()) /
+                         static_cast<double>(snap.num_entries());
+    EXPECT_GE(share, 0.15) << "shard " << i;
+    EXPECT_LE(share, 0.35) << "shard " << i;
+  }
 }
 
 // --- End-to-end integrity: byte flips are detected, never silently served ---
@@ -852,10 +1093,11 @@ TEST(ShardedStoreRecovery, JournalRecordByteFlipRejected) {
     std::unique_ptr<ShardedStore> store;
     ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 2), &store));
     const std::vector<Series> data = MakeSeries(150, 9800);
+    ASSERT_OK(store->InsertBatch(data));  // journal: begin + commit records
+    // Routed after the batch, which set the boundaries it was routed by.
     std::map<size_t, size_t> owners;
     for (const Series& s : data) ++owners[store->ShardForSeries(s)];
     ASSERT_GT(owners.size(), 1u) << "batch routed to a single shard";
-    ASSERT_OK(store->InsertBatch(data));  // journal: begin + commit records
   }
   const std::string journal_path = JoinPath(root, kStoreJournalName);
   std::string text;
@@ -1073,6 +1315,28 @@ TEST(ShardedStoreDegraded, ReadTimeCorruptionThroughEngineQuarantinesShard) {
   EXPECT_EQ(store->QuarantinedShards(), 1u);
 }
 
+TEST(ShardedStoreDegraded, CorruptSidecarIsReadOnce) {
+  // A snapshot taken before the quarantine still names the damaged run, so
+  // every query on it reaches the sidecar again. The first load fails its
+  // checksum; later loads return that Corruption without re-reading.
+  ScratchDir dir;
+  std::unique_ptr<ShardedStore> store;
+  size_t victim = SIZE_MAX;
+  std::vector<Series> healthy;
+  ASSERT_NO_FATAL_FAILURE(OpenStoreWithCorruptSidecar(
+      dir, dir.File("store"), &store, &victim, &healthy));
+  const ShardedStore::Snapshot before = store->GetSnapshot();
+  Counter* failed = MetricRegistry::Default().GetCounter("io.checksum.failed");
+  const uint64_t failed_before = failed->Value();
+  const std::vector<Series> queries = MakeSeries(4, 12004);
+  for (const Series& q : queries) {
+    SearchResult r;
+    ASSERT_OK(store->ExactSearch(before, q.data(), &r, 3));
+    EXPECT_TRUE(r.degraded);
+    EXPECT_EQ(failed->Value(), failed_before + 1);
+  }
+}
+
 // --- Atomic cross-shard visibility ------------------------------------------
 
 TEST(ShardedStoreConcurrency, SnapshotsNeverSeeHalfABatch) {
@@ -1085,7 +1349,8 @@ TEST(ShardedStoreConcurrency, SnapshotsNeverSeeHalfABatch) {
 
   // Build batches that are GUARANTEED multi-shard: pair series from the two
   // most popular owner shards, half and half per batch. Every batch then
-  // commits as one epoch of exactly kBatchSize series.
+  // commits as one epoch of exactly kBatchSize series. Batches stay below
+  // the boundary floor, so the even split routed here is final.
   const std::vector<Series> raw = MakeSeries(700, 1234);
   std::map<size_t, std::vector<Series>> by_owner;
   for (const Series& s : raw) by_owner[store->ShardForSeries(s)].push_back(s);
