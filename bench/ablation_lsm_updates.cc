@@ -84,7 +84,8 @@ void Run() {
                   },
                   [&](const Series& q) {
                     SearchResult r;
-                    return tree->ExactSearch(q.data(), 1, &r);
+                    return tree->Search(q.data(),
+                                        {.mode = QuerySpec::Mode::kExact}, &r);
                   }),
               "ctree workload");
       const IoSnapshot io = m.io();
@@ -113,7 +114,9 @@ void Run() {
                   },
                   [&](const Series& q) {
                     SearchResult r;
-                    return forest->ExactSearch(q.data(), &r);
+                    return forest->Search(forest->GetSnapshot(), q.data(),
+                                          {.mode = QuerySpec::Mode::kExact},
+                                          &r);
                   }),
               "forest workload");
       const IoSnapshot io = m.io();

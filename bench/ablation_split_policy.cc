@@ -43,7 +43,8 @@ void Run() {
     double dist = 0.0;
     for (const Series& q : qs) {
       SearchResult r;
-      CheckOk(tree->ApproxSearch(q.data(), 1, &r), "approx");
+      CheckOk(tree->Search(q.data(), {.mode = QuerySpec::Mode::kApprox}, &r),
+              "approx");
       dist += r.distance;
     }
     uint64_t bytes = 0;
@@ -65,7 +66,8 @@ void Run() {
     double dist = 0.0;
     for (const Series& q : qs) {
       SearchResult r;
-      CheckOk(trie->ApproxSearch(q.data(), 1, &r), "approx");
+      CheckOk(trie->Search(q.data(), {.mode = QuerySpec::Mode::kApprox}, &r),
+              "approx");
       dist += r.distance;
     }
     uint64_t bytes = 0;

@@ -39,10 +39,11 @@ void Run() {
                 FmtCount(visited / queries)});
     };
     run("CTree", [&](const Series& q, SearchResult* r) {
-      return f.ctree->ExactSearch(q.data(), 1, r);
+      return f.ctree->Search(q.data(), {.mode = QuerySpec::Mode::kExact}, r);
     });
     run("CTreeFull", [&](const Series& q, SearchResult* r) {
-      return f.ctree_full->ExactSearch(q.data(), 1, r);
+      return f.ctree_full->Search(q.data(), {.mode = QuerySpec::Mode::kExact},
+                                  r);
     });
     run("ADS+", [&](const Series& q, SearchResult* r) {
       return f.ads_plus->ExactSearch(q.data(), r);

@@ -43,10 +43,11 @@ void Run() {
                 FmtDouble(w.ElapsedMillis() / queries, 3)});
     };
     run("CTree", [&](const Series& q, SearchResult* r) {
-      return f.ctree->ApproxSearch(q.data(), 1, r);
+      return f.ctree->Search(q.data(), {.mode = QuerySpec::Mode::kApprox}, r);
     });
     run("CTreeFull", [&](const Series& q, SearchResult* r) {
-      return f.ctree_full->ApproxSearch(q.data(), 1, r);
+      return f.ctree_full->Search(q.data(), {.mode = QuerySpec::Mode::kApprox},
+                                  r);
     });
     run("ADS+", [&](const Series& q, SearchResult* r) {
       return f.ads_plus->ApproxSearch(q.data(), r);

@@ -40,16 +40,19 @@ void Run() {
               FmtDouble(dist / queries, 3)});
   };
   run("CTree(1)", [&](const Series& q, SearchResult* r) {
-    return f.ctree->ApproxSearch(q.data(), 1, r);
+    return f.ctree->Search(q.data(), {.mode = QuerySpec::Mode::kApprox}, r);
   });
   run("CTree(10)", [&](const Series& q, SearchResult* r) {
-    return f.ctree->ApproxSearch(q.data(), 10, r);
+    return f.ctree->Search(
+        q.data(), {.mode = QuerySpec::Mode::kApprox, .approx_leaves = 10}, r);
   });
   run("CTreeFull(1)", [&](const Series& q, SearchResult* r) {
-    return f.ctree_full->ApproxSearch(q.data(), 1, r);
+    return f.ctree_full->Search(q.data(), {.mode = QuerySpec::Mode::kApprox},
+                                r);
   });
   run("CTreeFull(10)", [&](const Series& q, SearchResult* r) {
-    return f.ctree_full->ApproxSearch(q.data(), 10, r);
+    return f.ctree_full->Search(
+        q.data(), {.mode = QuerySpec::Mode::kApprox, .approx_leaves = 10}, r);
   });
   run("ADS+", [&](const Series& q, SearchResult* r) {
     return f.ads_plus->ApproxSearch(q.data(), r);

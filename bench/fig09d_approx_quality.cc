@@ -27,13 +27,16 @@ void Run() {
 
   std::vector<double> ctree1(queries), ctree10(queries), adsfull(queries),
       adsplus(queries), ctreefull(queries);
+  const QuerySpec ctree1_spec{.mode = QuerySpec::Mode::kApprox};
+  const QuerySpec ctree10_spec{.mode = QuerySpec::Mode::kApprox,
+                               .approx_leaves = 10};
   for (size_t i = 0; i < queries; ++i) {
     SearchResult r;
-    CheckOk(f.ctree->ApproxSearch(qs[i].data(), 1, &r), "CTree(1)");
+    CheckOk(f.ctree->Search(qs[i].data(), ctree1_spec, &r), "CTree(1)");
     ctree1[i] = r.distance;
-    CheckOk(f.ctree->ApproxSearch(qs[i].data(), 10, &r), "CTree(10)");
+    CheckOk(f.ctree->Search(qs[i].data(), ctree10_spec, &r), "CTree(10)");
     ctree10[i] = r.distance;
-    CheckOk(f.ctree_full->ApproxSearch(qs[i].data(), 1, &r), "CTreeFull");
+    CheckOk(f.ctree_full->Search(qs[i].data(), ctree1_spec, &r), "CTreeFull");
     ctreefull[i] = r.distance;
     CheckOk(f.ads_plus->ApproxSearch(qs[i].data(), &r), "ADS+");
     adsplus[i] = r.distance;

@@ -39,13 +39,14 @@ void Run() {
               FmtCount(visited / queries)});
   };
   run("CTree(1)", [&](const Series& q, SearchResult* r) {
-    return f.ctree->ExactSearch(q.data(), 1, r);
+    return f.ctree->Search(q.data(), {.mode = QuerySpec::Mode::kExact}, r);
   });
   run("CTree(10)", [&](const Series& q, SearchResult* r) {
-    return f.ctree->ExactSearch(q.data(), 10, r);
+    return f.ctree->Search(
+        q.data(), {.mode = QuerySpec::Mode::kExact, .approx_leaves = 10}, r);
   });
   run("CTreeFull(1)", [&](const Series& q, SearchResult* r) {
-    return f.ctree_full->ExactSearch(q.data(), 1, r);
+    return f.ctree_full->Search(q.data(), {.mode = QuerySpec::Mode::kExact}, r);
   });
   run("ADS+", [&](const Series& q, SearchResult* r) {
     return f.ads_plus->ExactSearch(q.data(), r);

@@ -60,7 +60,11 @@ void Run() {
     for (const Series& q : qs) {
       SearchResult a, r;
       trace.Clear();
-      CheckOk(tree->ApproxSearch(q.data(), leaves, &a, 1, &scratch), name);
+      CheckOk(tree->Search(q.data(),
+                           {.mode = QuerySpec::Mode::kApprox,
+                            .approx_leaves = leaves},
+                           &a, &scratch),
+              name);
       if (trace.records_fetched != a.visited_records) {
         std::fprintf(stderr, "%s: trace/result approx mismatch %llu vs %llu\n",
                      name,
@@ -70,7 +74,11 @@ void Run() {
       }
       approx_visited += trace.records_fetched;
       trace.Clear();
-      CheckOk(tree->ExactSearch(q.data(), leaves, &r, 1, &scratch), name);
+      CheckOk(tree->Search(q.data(),
+                           {.mode = QuerySpec::Mode::kExact,
+                            .approx_leaves = leaves},
+                           &r, &scratch),
+              name);
       if (trace.records_fetched != r.visited_records) {
         std::fprintf(stderr, "%s: trace/result exact mismatch %llu vs %llu\n",
                      name,

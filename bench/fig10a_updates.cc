@@ -57,6 +57,7 @@ void Run() {
 
       size_t loaded = initial;
       size_t qi = 0;
+      const QuerySpec exact{.mode = QuerySpec::Mode::kExact};
       const size_t batches = (total - initial + batch_size - 1) / batch_size;
       const size_t queries_per_batch =
           std::max<size_t>(1, total_queries / std::max<size_t>(1, batches));
@@ -72,12 +73,12 @@ void Run() {
         for (size_t q = 0; q < queries_per_batch && qi < total_queries;
              ++q, ++qi) {
           SearchResult r;
-          CheckOk(tree->ExactSearch(queries[qi].data(), 1, &r), "query");
+          CheckOk(tree->Search(queries[qi].data(), exact, &r), "query");
         }
       }
       while (qi < total_queries) {
         SearchResult r;
-        CheckOk(tree->ExactSearch(queries[qi++].data(), 1, &r), "query");
+        CheckOk(tree->Search(queries[qi++].data(), exact, &r), "query");
       }
       const IoSnapshot io = m.io();
       PrintRow({FmtCount(batch_size), "CTree", FmtSeconds(m.seconds()),

@@ -36,7 +36,8 @@ inline void RunWorkload(DatasetKind kind, const char* figure, uint64_t seed) {
       CheckOk(CoconutTree::Open(dir.File("ctree.idx"), raw, &tree), "open");
       for (const Series& q : qs) {
         SearchResult r;
-        CheckOk(tree->ExactSearch(q.data(), 1, &r), "query");
+        CheckOk(tree->Search(q.data(), {.mode = QuerySpec::Mode::kExact}, &r),
+                "query");
       }
       uint64_t bytes = 0;
       CheckOk(tree->IndexSizeBytes(&bytes), "size");
@@ -57,7 +58,8 @@ inline void RunWorkload(DatasetKind kind, const char* figure, uint64_t seed) {
               "open");
       for (const Series& q : qs) {
         SearchResult r;
-        CheckOk(tree->ExactSearch(q.data(), 1, &r), "query");
+        CheckOk(tree->Search(q.data(), {.mode = QuerySpec::Mode::kExact}, &r),
+                "query");
       }
       uint64_t bytes = 0;
       CheckOk(tree->IndexSizeBytes(&bytes), "size");

@@ -35,10 +35,11 @@ int main() {
   // Screen prospective strategies (return profiles NOT in the index)
   // against the universe: the exact 1-NN is the most correlated instrument.
   RandomWalkGenerator strategy_gen(kLength, /*seed=*/555);
+  const QuerySpec exact{.mode = QuerySpec::Mode::kExact};
   for (int candidate = 0; candidate < 3; ++candidate) {
     const Series profile = strategy_gen.NextSeries();
     SearchResult nn;
-    if (!tree->ExactSearch(profile.data(), 1, &nn).ok()) return 1;
+    if (!tree->Search(profile.data(), exact, &nn).ok()) return 1;
     const uint64_t peer = nn.offset / (kLength * sizeof(Value));
     const double corr =
         1.0 - (nn.distance * nn.distance) / (2.0 * kLength);

@@ -28,6 +28,7 @@ int main() {
   }
   RandomWalkGenerator qgen(kLength, 77);
   const Series query = qgen.NextSeries();
+  const QuerySpec exact{.mode = QuerySpec::Mode::kExact};
 
   SummaryOptions summary;
   summary.series_length = kLength;
@@ -55,7 +56,7 @@ int main() {
       return 1;
     }
     SearchResult r;
-    if (!t->ExactSearch(query.data(), 1, &r).ok()) return 1;
+    if (!t->Search(query.data(), exact, &r).ok()) return 1;
     row("Coconut-Tree", secs, t->num_leaves(), r);
   }
   {  // Coconut-Trie.
@@ -72,7 +73,7 @@ int main() {
       return 1;
     }
     SearchResult r;
-    if (!t->ExactSearch(query.data(), 1, &r).ok()) return 1;
+    if (!t->Search(query.data(), exact, &r).ok()) return 1;
     row("Coconut-Trie", secs, t->num_pages(), r);
   }
   {  // ADS+.

@@ -1,14 +1,15 @@
 // Quickstart: generate a dataset, bulk-load a Coconut-Tree, and run
 // approximate and exact nearest-neighbor queries.
 //
-//   $ ./example_quickstart
+//   $ ./build/quickstart
 //
 // The public API in a nutshell:
 //   1. Datasets are headerless float32 files (WriteDataset / RawSeriesFile).
 //   2. CoconutTree::Build externally sorts (invSAX, position) pairs and
 //      bulk-loads a balanced, contiguous index (paper Algorithm 3).
-//   3. ApproxSearch visits a window of contiguous leaves (Algorithm 4);
-//      ExactSearch runs the CoconutTreeSIMS scan (Algorithm 5).
+//   3. CoconutTree::Search runs one QuerySpec: QuerySpec::Mode::kApprox
+//      visits a window of approx_leaves contiguous leaves (Algorithm 4);
+//      kExact runs the CoconutTreeSIMS scan (Algorithm 5).
 #include <cstdio>
 
 #include "src/common/env.h"
@@ -57,12 +58,11 @@ int main() {
   RandomWalkGenerator qgen(kLength, /*seed=*/7);
   Series query = qgen.NextSeries();
   SearchResult approx, exact;
-  if (!tree->ApproxSearch(query.data(), /*num_leaves=*/1, &approx).ok()) {
-    return 1;
-  }
-  if (!tree->ExactSearch(query.data(), /*approx_leaves=*/1, &exact).ok()) {
-    return 1;
-  }
+  const QuerySpec approx_spec{.mode = QuerySpec::Mode::kApprox,
+                              .approx_leaves = 1};
+  const QuerySpec exact_spec{.mode = QuerySpec::Mode::kExact};
+  if (!tree->Search(query.data(), approx_spec, &approx).ok()) return 1;
+  if (!tree->Search(query.data(), exact_spec, &exact).ok()) return 1;
   std::printf("approximate NN: distance %.4f (visited %llu records)\n",
               approx.distance, (unsigned long long)approx.visited_records);
   std::printf("exact NN:       distance %.4f (visited %llu records, "

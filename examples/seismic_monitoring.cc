@@ -41,11 +41,15 @@ int main() {
   // Incoming event: a waveform from a later part of the stream. Find the
   // most similar archived window (e.g. to match against known events).
   SeismicGenerator event_gen(kLength, /*seed=*/99, /*window_step=*/512);
+  const QuerySpec probe_spec{.mode = QuerySpec::Mode::kApprox,
+                             .approx_leaves = 2};
+  const QuerySpec exact_spec{.mode = QuerySpec::Mode::kExact,
+                             .approx_leaves = 2};
   for (int event = 0; event < 3; ++event) {
     Series waveform = event_gen.NextSeries();
     SearchResult probe, exact;
-    if (!tree->ApproxSearch(waveform.data(), 2, &probe).ok()) return 1;
-    if (!tree->ExactSearch(waveform.data(), 2, &exact).ok()) return 1;
+    if (!tree->Search(waveform.data(), probe_spec, &probe).ok()) return 1;
+    if (!tree->Search(waveform.data(), exact_spec, &exact).ok()) return 1;
     const uint64_t window_id = exact.offset / (kLength * sizeof(Value));
     std::printf(
         "event %d: probe distance %.3f -> exact match window #%llu "

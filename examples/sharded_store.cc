@@ -111,11 +111,14 @@ int main() {
   SearchResult before;
   RandomWalkGenerator vgen(kSeriesLen, /*seed=*/3);
   const Series probe = vgen.NextSeries();
-  Check(store->ExactSearch(probe.data(), &before, 3), "probe before");
+  const QuerySpec top3{.mode = QuerySpec::Mode::kExact, .k = 3};
+  Check(store->Search(store->GetSnapshot(), probe.data(), top3, &before),
+        "probe before");
   store.reset();
   Check(ShardedStore::Open(root, opts, &store), "reopen store");
   SearchResult after;
-  Check(store->ExactSearch(probe.data(), &after, 3), "probe after");
+  Check(store->Search(store->GetSnapshot(), probe.data(), top3, &after),
+        "probe after");
   std::printf("reopened: %llu entries, probe 1-NN %.3f == %.3f (%s)\n",
               static_cast<unsigned long long>(store->num_entries()),
               before.distance, after.distance,

@@ -667,35 +667,8 @@ uint64_t CoconutForest::memtable_size() const {
   return memtable_count_;
 }
 
-Status CoconutForest::ExactSearch(const Value* query, SearchResult* result,
-                                  size_t k) const {
-  return ExactSearch(GetSnapshot(), query, 1, result, k);
-}
-
-Status CoconutForest::ExactSearch(const Snapshot& snapshot,
-                                  const Value* query, size_t approx_leaves,
-                                  SearchResult* result, size_t k,
-                                  QueryScratch* scratch) const {
-  return Search(snapshot, query, /*exact=*/true, approx_leaves, result, k,
-                scratch);
-}
-
-Status CoconutForest::ApproxSearch(const Value* query, size_t num_leaves,
-                                   SearchResult* result, size_t k) const {
-  return ApproxSearch(GetSnapshot(), query, num_leaves, result, k);
-}
-
-Status CoconutForest::ApproxSearch(const Snapshot& snapshot,
-                                   const Value* query, size_t num_leaves,
-                                   SearchResult* result, size_t k,
-                                   QueryScratch* scratch) const {
-  return Search(snapshot, query, /*exact=*/false, num_leaves, result, k,
-                scratch);
-}
-
 Status CoconutForest::Search(const Snapshot& snapshot, const Value* query,
-                             bool exact, size_t num_leaves,
-                             SearchResult* result, size_t k,
+                             const QuerySpec& spec, SearchResult* result,
                              QueryScratch* scratch) const {
   if (snapshot.num_entries() == 0) return Status::NotFound("empty forest");
   QueryScratch local_scratch;
@@ -705,7 +678,7 @@ Status CoconutForest::Search(const Snapshot& snapshot, const Value* query,
   // first bound every run is pruned against, and each run's answers
   // tighten it for the runs after it. Runs partition the data, so the
   // top-k of the union is the global top-k.
-  KnnCollector knn(k);
+  KnnCollector knn(spec.k);
   for (size_t i = 0; i < snapshot.memtable_count; ++i) {
     const MemEntry& e = (*snapshot.memtable)[i];
     knn.Offer(e.offset, SquaredEuclideanEarlyAbandon(e.series.data(), query,
@@ -716,12 +689,12 @@ Status CoconutForest::Search(const Snapshot& snapshot, const Value* query,
     t->records_fetched += snapshot.memtable_count;
   }
   ScanCount count{snapshot.memtable_count, 0};
+  const auto run_search = spec.mode == QuerySpec::Mode::kExact
+                              ? SimsSearch<CoconutTree>::Exact
+                              : SimsSearch<CoconutTree>::Approx;
   for (const auto& run : snapshot.runs) {
-    COCONUT_RETURN_IF_ERROR(
-        exact ? SimsSearch<CoconutTree>::Exact(*run, query, num_leaves, &knn,
-                                               scratch, &count)
-              : SimsSearch<CoconutTree>::Approx(*run, query, num_leaves, &knn,
-                                                scratch, &count));
+    COCONUT_RETURN_IF_ERROR(run_search(*run, query, spec.approx_leaves, &knn,
+                                       scratch, &count));
   }
   knn.Finalize(result);
   result->visited_records = count.records;

@@ -10,11 +10,12 @@
 // order, so the merge partitions the key space into chunks and merges the
 // chunks concurrently on the shared ThreadPool.
 //
-// Queries consult the buffer plus every run through one k-NN collector:
-// the memtable is scanned first, then every run's SIMS scan (exact search)
-// or leaf window (approximate search) runs against the same bound, so the
-// best answers found so far prune every later run. Runs partition the
-// dataset, so the top-k of the union is the global top-k.
+// A query (Search(snapshot, query, QuerySpec)) consults the buffer plus
+// every run through one k-NN collector: the memtable is scanned first, then
+// every run's SIMS scan (QuerySpec::Mode::kExact) or leaf window (kApprox)
+// runs against the same bound, so the best answers found so far prune
+// every later run. Runs partition the dataset, so the top-k of the union is
+// the global top-k.
 //
 // Concurrency model (snapshot isolation):
 //  * Writers (Insert/InsertBatch/Flush/CompactAll) are serialized by an
@@ -186,24 +187,12 @@ class CoconutForest {
   /// Captures an immutable snapshot of the current forest state.
   Snapshot GetSnapshot() const;
 
-  /// Exact k nearest neighbors across the memtable and all runs, with one
-  /// best-so-far bound: the memtable's top-k prunes the first run's SIMS
-  /// scan, and each run's answers prune the runs after it. Each run scans
-  /// the `approx_leaves` leaves around the query first (1 for the
-  /// snapshot-less overload).
-  Status ExactSearch(const Value* query, SearchResult* result,
-                     size_t k = 1) const;
-  Status ExactSearch(const Snapshot& snapshot, const Value* query,
-                     size_t approx_leaves, SearchResult* result, size_t k = 1,
-                     QueryScratch* scratch = nullptr) const;
-
-  /// Approximate search: best k candidates across the memtable and the
-  /// target leaf window of every run.
-  Status ApproxSearch(const Value* query, size_t num_leaves,
-                      SearchResult* result, size_t k = 1) const;
-  Status ApproxSearch(const Snapshot& snapshot, const Value* query,
-                      size_t num_leaves, SearchResult* result, size_t k = 1,
-                      QueryScratch* scratch = nullptr) const;
+  /// The k-NN query `spec` across the memtable and every run of `snapshot`
+  /// (see the top of this file); each run scans the spec.approx_leaves
+  /// leaves around the query first. NotFound on an empty snapshot.
+  Status Search(const Snapshot& snapshot, const Value* query,
+                const QuerySpec& spec, SearchResult* result,
+                QueryScratch* scratch = nullptr) const;
 
   size_t num_runs() const;
   uint64_t num_entries() const;
@@ -211,12 +200,6 @@ class CoconutForest {
 
  private:
   CoconutForest() = default;
-
-  /// ExactSearch/ApproxSearch body: the memtable by brute force, then every
-  /// run's exact or approximate search, merged into one top-k.
-  Status Search(const Snapshot& snapshot, const Value* query, bool exact,
-                size_t num_leaves, SearchResult* result, size_t k,
-                QueryScratch* scratch) const;
 
   /// Flushes the memtable (the builds happen outside state_mu_; only the
   /// final run/memtable swap takes it exclusively).

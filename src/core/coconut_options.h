@@ -97,6 +97,19 @@ struct SearchResult {
   bool degraded = false;
 };
 
+/// One query as the paper states it: approximate (Algorithm 4) or exact
+/// (Algorithm 5), k, and the leaf window r of CTree(r). Every layer's
+/// Search (tree, trie, forest, store) and every QueryEngine batch takes it.
+struct QuerySpec {
+  enum class Mode { kExact, kApprox };
+  Mode mode = Mode::kExact;
+  /// Neighbors to return per query.
+  size_t k = 1;
+  /// Leaf-window radius: the window scanned for kApprox; for kExact, the
+  /// window whose entries the SIMS scan takes first.
+  size_t approx_leaves = 1;
+};
+
 }  // namespace coconut
 
 #endif  // COCONUT_CORE_COCONUT_OPTIONS_H_

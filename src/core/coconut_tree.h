@@ -4,28 +4,29 @@
 // balanced, and densely packed (median/packed splits instead of prefix
 // splits).
 //
-// Queries:
-//  * ApproxSearch (Algorithm 4): descend to the leaf where the query's
-//    invSAX key would reside and search the entries of a window of
-//    neighboring (contiguous) leaves: ExactSearch's window phase alone.
-//  * ExactSearch (Algorithm 5, "CoconutTreeSIMS"): compute lower bounds over
-//    the in-memory summarization array with parallel threads, then fetch
-//    only unpruned series, starting with the leaf window the approximate
-//    search would scan so that its near neighbours set the pruning bound
-//    early: skip-sequentially through the leaves when materialized,
-//    best-first by lower bound from the raw file otherwise.
+// Queries: one Search(query, QuerySpec), whose mode picks the algorithm:
+//  * QuerySpec::Mode::kApprox (Algorithm 4): descend to the leaf where the
+//    query's invSAX key would reside and search the entries of a window of
+//    spec.approx_leaves neighboring (contiguous) leaves: the exact search's
+//    window phase alone.
+//  * QuerySpec::Mode::kExact (Algorithm 5, "CoconutTreeSIMS"): compute lower
+//    bounds over the in-memory summarization array with parallel threads,
+//    then fetch only unpruned series, starting with the leaf window the
+//    approximate search would scan so that its near neighbours set the
+//    pruning bound early: skip-sequentially through the leaves when
+//    materialized, best-first by lower bound from the raw file otherwise.
 //
 // Both run through the loops shared with Coconut-Trie (sims_common.h); the
 // tree supplies only its routing, leaf reader, and entry -> leaf mapping.
 //
-// Both queries accept k >= 1 and return the k nearest neighbors.
+// Both modes accept k >= 1 (spec.k) and return the k nearest neighbors.
 //
-// Thread safety: the query paths (ApproxSearch/ExactSearch/ReadPage/
-// ReadLeafEntries) are const and safe to call concurrently from many
-// threads — per-query scratch buffers replace shared mutable state, and the
-// lazily-loaded SIMS arrays are guarded by a load-once latch. MergeBatch is
-// a writer and must not run concurrently with queries on the same object
-// (CoconutForest provides snapshot isolation on top for that).
+// Thread safety: the query paths (Search/ReadPage/ReadLeafEntries) are
+// const and safe to call concurrently from many threads — per-query scratch
+// buffers replace shared mutable state, and the lazily-loaded SIMS arrays
+// are guarded by a load-once latch. MergeBatch is a writer and must not run
+// concurrently with queries on the same object (CoconutForest provides
+// snapshot isolation on top for that).
 //
 // Updates: batches are ingested by sorting the new entries and
 // merge-rebuilding the contiguous leaf run (sequential I/O), the bulk
@@ -81,27 +82,16 @@ class CoconutTree {
                      const std::string& raw_path,
                      std::unique_ptr<CoconutTree>* out);
 
-  /// Approximate k-NN search over the entries of a window of `num_leaves`
-  /// contiguous leaves centered on the query's would-be position (paper's
-  /// CTree(r) notation: CTree(1) covers one leaf, CTree(10) ten). It fetches
-  /// only the entries whose lower bound in the SIMS arrays beats the k-th
-  /// best so far, so an unmaterialized tree reads no leaf page.
-  Status ApproxSearch(const Value* query, size_t num_leaves,
-                      SearchResult* result, size_t k = 1,
-                      QueryScratch* scratch = nullptr) const {
-    return SimsSearch<CoconutTree>::Search(*this, query, /*exact=*/false,
-                                           num_leaves, k, result, scratch);
-  }
-
-  /// Exact k-NN search via CoconutTreeSIMS. The entries of the
-  /// `approx_leaves` leaves around the query's position are scanned first;
-  /// every entry, those included, is fetched only if its lower bound beats
-  /// the k-th best distance so far.
-  Status ExactSearch(const Value* query, size_t approx_leaves,
-                     SearchResult* result, size_t k = 1,
-                     QueryScratch* scratch = nullptr) const {
-    return SimsSearch<CoconutTree>::Search(*this, query, /*exact=*/true,
-                                           approx_leaves, k, result, scratch);
+  /// k-NN search as `spec` says (see Queries above): kApprox scans the
+  /// spec.approx_leaves leaves around the query's would-be position (the
+  /// paper's CTree(r): CTree(1) covers one leaf, CTree(10) ten); kExact
+  /// takes that window first, then the rest. Either fetches only the
+  /// entries whose SIMS lower bound beats the k-th best so far, so an
+  /// unmaterialized tree reads no leaf page.
+  Status Search(const Value* query, const QuerySpec& spec,
+                SearchResult* result, QueryScratch* scratch = nullptr) const {
+    return SimsSearch<CoconutTree>::Search(*this, query, spec, result,
+                                           scratch);
   }
 
   /// Bulk-ingests a batch: appends the series to the raw dataset file and

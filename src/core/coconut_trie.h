@@ -20,9 +20,11 @@
 // pass — random I/O when the raw file exceeds the memory budget, which is
 // why CTrieFull degrades with constrained memory in paper Fig 8a.
 //
-// Queries run through the loops shared with Coconut-Tree (sims_common.h);
-// the trie supplies only its descent, page reader, and entry -> page
-// mapping. Its file format carries no checksums.
+// Queries take one Search(query, QuerySpec): QuerySpec::Mode::kApprox is
+// Algorithm 4 over a window of leaf pages, kExact the SIMS scan of
+// Algorithm 5. Both run through the loops shared with Coconut-Tree
+// (sims_common.h); the trie supplies only its descent, page reader, and
+// entry -> page mapping. Its file format carries no checksums.
 #ifndef COCONUT_CORE_COCONUT_TRIE_H_
 #define COCONUT_CORE_COCONUT_TRIE_H_
 
@@ -93,24 +95,14 @@ class CoconutTrie {
                      const std::string& raw_path,
                      std::unique_ptr<CoconutTrie>* out);
 
-  /// Approximate k-NN search: descends to the most promising leaf and
-  /// searches the entries of a window of `num_pages` contiguous leaf pages
-  /// around it, fetching only those whose lower bound in the SIMS arrays
-  /// beats the k-th best so far (ExactSearch's window phase alone).
-  Status ApproxSearch(const Value* query, size_t num_pages,
-                      SearchResult* result, size_t k = 1,
-                      QueryScratch* scratch = nullptr) const {
-    return SimsSearch<CoconutTrie>::Search(*this, query, /*exact=*/false,
-                                           num_pages, k, result, scratch);
-  }
-
-  /// Exact k-NN search via the SIMS scan (paper §4.2 "we employee the SIMS
-  /// algorithm" for exact search over the trie as well).
-  Status ExactSearch(const Value* query, size_t approx_pages,
-                     SearchResult* result, size_t k = 1,
-                     QueryScratch* scratch = nullptr) const {
-    return SimsSearch<CoconutTrie>::Search(*this, query, /*exact=*/true,
-                                           approx_pages, k, result, scratch);
+  /// k-NN search as `spec` says: kApprox descends to the most promising
+  /// leaf and scans the spec.approx_leaves contiguous leaf pages around it;
+  /// kExact runs the SIMS scan (paper §4.2 "we employee the SIMS algorithm"
+  /// for exact search over the trie as well), taking that window first.
+  Status Search(const Value* query, const QuerySpec& spec,
+                SearchResult* result, QueryScratch* scratch = nullptr) const {
+    return SimsSearch<CoconutTrie>::Search(*this, query, spec, result,
+                                           scratch);
   }
 
   // --- introspection ---

@@ -286,14 +286,15 @@ Status SimsSearch<Index>::Exact(const Index& index, const Value* query,
 
 template <class Index>
 Status SimsSearch<Index>::Search(const Index& index, const Value* query,
-                                 bool exact, size_t window_pages, size_t k,
-                                 SearchResult* result, QueryScratch* scratch) {
+                                 const QuerySpec& spec, SearchResult* result,
+                                 QueryScratch* scratch) {
   QueryScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
-  KnnCollector knn(k);
+  KnnCollector knn(spec.k);
   ScanCount count;
-  COCONUT_RETURN_IF_ERROR((exact ? Exact : Approx)(index, query, window_pages,
-                                                   &knn, scratch, &count));
+  COCONUT_RETURN_IF_ERROR(
+      (spec.mode == QuerySpec::Mode::kExact ? Exact : Approx)(
+          index, query, spec.approx_leaves, &knn, scratch, &count));
   knn.Finalize(result);
   result->visited_records = count.records;
   result->leaves_read = count.pages;

@@ -26,8 +26,10 @@
 //      costs no locality and the scan is best-first: by ascending (lower
 //      bound, entry), stopping at the first bound that no longer beats the
 //      k-th best. The likeliest answers tighten the bound first.
-//  * SimsSearch<Index>::Search: the indexes' whole ApproxSearch and
-//    ExactSearch, one of the above into a fresh collector.
+//  * SimsSearch<Index>::Search: the indexes' whole Search(query, QuerySpec):
+//    QuerySpec::Mode::kApprox runs Approx (Algorithm 4), kExact runs Exact
+//    (Algorithm 5), over spec.approx_leaves pages into a fresh collector of
+//    spec.k.
 //  * ParallelMindists: the parallel lower-bound pass (line 10), also used by
 //    the ADS baseline.
 //
@@ -175,10 +177,10 @@ struct SimsSearch {
                       size_t window_pages, KnnCollector* knn,
                       QueryScratch* scratch, ScanCount* count);
 
-  /// Approximate or exact k-NN: Approx or Exact into a fresh collector.
+  /// The k-NN query `spec`: Approx or Exact into a fresh collector.
   /// Accepts a null `scratch` (then uses a local one).
-  static Status Search(const Index& index, const Value* query, bool exact,
-                       size_t window_pages, size_t k, SearchResult* result,
+  static Status Search(const Index& index, const Value* query,
+                       const QuerySpec& spec, SearchResult* result,
                        QueryScratch* scratch);
 
  private:

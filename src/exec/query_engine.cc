@@ -212,15 +212,10 @@ Status QueryEngine::IndexBatch(const Index& index,
                                std::vector<SearchResult>* results,
                                std::vector<QueryTrace>* traces,
                                const Context& ctx) const {
-  const bool exact = spec.mode == QuerySpec::Mode::kExact;
   return RunBatch(
       queries, spec, /*store_snapshot=*/nullptr, results, traces, ctx,
       [&](uint64_t i, SearchResult* r, QueryScratch* scratch) {
-        const Value* q = queries[i].data();
-        return exact ? index.ExactSearch(q, spec.approx_leaves, r, spec.k,
-                                         scratch)
-                     : index.ApproxSearch(q, spec.approx_leaves, r, spec.k,
-                                          scratch);
+        return index.Search(queries[i].data(), spec, r, scratch);
       });
 }
 
@@ -259,15 +254,10 @@ Status QueryEngine::ExecuteBatch(const CoconutForest& forest,
                                  std::vector<SearchResult>* results,
                                  std::vector<QueryTrace>* traces,
                                  const Context& ctx) const {
-  const bool exact = spec.mode == QuerySpec::Mode::kExact;
   return RunBatch(
       queries, spec, /*store_snapshot=*/nullptr, results, traces, ctx,
       [&](uint64_t i, SearchResult* r, QueryScratch* scratch) {
-        const Value* q = queries[i].data();
-        return exact ? forest.ExactSearch(snapshot, q, spec.approx_leaves, r,
-                                          spec.k, scratch)
-                     : forest.ApproxSearch(snapshot, q, spec.approx_leaves, r,
-                                           spec.k, scratch);
+        return forest.Search(snapshot, queries[i].data(), spec, r, scratch);
       });
 }
 
@@ -288,24 +278,23 @@ Status QueryEngine::ExecuteBatch(const ShardedStore& store,
                                  std::vector<SearchResult>* results,
                                  std::vector<QueryTrace>* traces,
                                  const Context& ctx) const {
+  // An empty batch over an empty store has nothing to find.
+  const Status checked = store.CheckSnapshot(snapshot);
+  if (!checked.ok() && !(queries.empty() && checked.IsNotFound())) {
+    return checked;
+  }
   const size_t num_shards = snapshot.shards.size();
-  if (num_shards != store.num_shards()) {
-    return Status::InvalidArgument("snapshot shard count mismatch");
-  }
-  if (!queries.empty() && snapshot.num_entries() == 0) {
-    return Status::NotFound("empty store");
-  }
-  const bool exact = spec.mode == QuerySpec::Mode::kExact;
   // Cross-shard routing: the work grid is (query, shard) cells so a batch
   // saturates the pool even when it is smaller than the thread count; each
-  // cell is the store's own per-shard step, which skips empty shards and
-  // quarantines a corrupt one, as the store's serial search does.
+  // cell is the store's own per-shard step with the same spec, which skips
+  // empty shards and quarantines a corrupt one, as the store's serial
+  // Search does.
   return RunBatch(
       queries, spec, &snapshot, results, traces, ctx,
       [&](uint64_t cell, SearchResult* r, QueryScratch* scratch) {
         return store.SearchShard(snapshot, cell % num_shards,
-                                 queries[cell / num_shards].data(), exact,
-                                 spec.approx_leaves, spec.k, r, scratch);
+                                 queries[cell / num_shards].data(), spec, r,
+                                 scratch);
       });
 }
 

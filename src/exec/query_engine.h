@@ -45,17 +45,6 @@
 
 namespace coconut {
 
-/// What to run for every query in a batch.
-struct QuerySpec {
-  enum class Mode { kExact, kApprox };
-  Mode mode = Mode::kExact;
-  /// Neighbors to return per query.
-  size_t k = 1;
-  /// Leaf-window radius: the window scanned for kApprox; for kExact, the
-  /// window whose entries the SIMS scan takes first.
-  size_t approx_leaves = 1;
-};
-
 class QueryEngine {
  public:
   /// Uses the given pool (defaults to the process-wide shared pool). When
@@ -66,9 +55,10 @@ class QueryEngine {
                        AdmissionController* admission = nullptr)
       : pool_(pool), admission_(admission) {}
 
-  /// Runs every query against `tree`; `results` is resized to match
-  /// `queries` and results are positionally aligned. On error the first
-  /// failing status is returned (remaining queries may or may not have run).
+  /// Runs every query against `tree` as `spec` says (QuerySpec, in
+  /// src/core/coconut_options.h); `results` is resized to match `queries`
+  /// and results are positionally aligned. On error the first failing
+  /// status is returned (remaining queries may or may not have run).
   ///
   /// Every overload records per-query latency and work counters into the
   /// process-wide MetricRegistry ("query.*"), and — when `traces` is
@@ -158,7 +148,8 @@ class QueryEngine {
                   std::vector<QueryTrace>* traces, const Context& ctx,
                   const CellFn& cell) const;
 
-  /// The tree and trie overloads: the index's own Exact/ApproxSearch.
+  /// The tree and trie overloads: one cell per query, the index's own
+  /// Search(query, spec).
   template <typename Index>
   Status IndexBatch(const Index& index, const std::vector<Series>& queries,
                     const QuerySpec& spec, std::vector<SearchResult>* results,

@@ -738,18 +738,13 @@ void ShardedStore::MergeShardResults(const Snapshot& snapshot,
 }
 
 Status ShardedStore::SearchShard(const Snapshot& snapshot, size_t i,
-                                 const Value* query, bool exact,
-                                 size_t num_leaves, size_t k,
+                                 const Value* query, const QuerySpec& spec,
                                  SearchResult* result,
                                  QueryScratch* scratch) const {
   const CoconutForest::Snapshot& shard = snapshot.shards[i];
   // Empty, or quarantined when the snapshot was taken: no candidates.
   if (shard.num_entries() == 0) return Status::OK();
-  const Status st =
-      exact ? shards_[i]->ExactSearch(shard, query, num_leaves, result, k,
-                                      scratch)
-            : shards_[i]->ApproxSearch(shard, query, num_leaves, result, k,
-                                       scratch);
+  const Status st = shards_[i]->Search(shard, query, spec, result, scratch);
   if (st.IsCorruption()) {
     // A checksum failure surfacing mid-query quarantines the shard and the
     // query completes over the rest — one bad device must not take reads
@@ -763,38 +758,18 @@ Status ShardedStore::SearchShard(const Snapshot& snapshot, size_t i,
   return TagShard(i, st);
 }
 
-Status ShardedStore::ExactSearch(const Value* query, SearchResult* result,
-                                 size_t k) const {
-  return ExactSearch(GetSnapshot(), query, result, k);
-}
-
-Status ShardedStore::ExactSearch(const Snapshot& snapshot, const Value* query,
-                                 SearchResult* result, size_t k,
-                                 QueryScratch* scratch) const {
-  return Search(snapshot, query, /*exact=*/true, 1, result, k, scratch);
-}
-
-Status ShardedStore::ApproxSearch(const Value* query, size_t num_leaves,
-                                  SearchResult* result, size_t k) const {
-  return ApproxSearch(GetSnapshot(), query, num_leaves, result, k);
-}
-
-Status ShardedStore::ApproxSearch(const Snapshot& snapshot, const Value* query,
-                                  size_t num_leaves, SearchResult* result,
-                                  size_t k,
-                                  QueryScratch* scratch) const {
-  return Search(snapshot, query, /*exact=*/false, num_leaves, result, k,
-                scratch);
-}
-
-Status ShardedStore::Search(const Snapshot& snapshot, const Value* query,
-                            bool exact, size_t num_leaves,
-                            SearchResult* result, size_t k,
-                            QueryScratch* scratch) const {
+Status ShardedStore::CheckSnapshot(const Snapshot& snapshot) const {
   if (snapshot.shards.size() != shards_.size()) {
     return Status::InvalidArgument("snapshot shard count mismatch");
   }
   if (snapshot.num_entries() == 0) return Status::NotFound("empty store");
+  return Status::OK();
+}
+
+Status ShardedStore::Search(const Snapshot& snapshot, const Value* query,
+                            const QuerySpec& spec, SearchResult* result,
+                            QueryScratch* scratch) const {
+  COCONUT_RETURN_IF_ERROR(CheckSnapshot(snapshot));
   QueryScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
   // Shards partition the data, so merging per-shard exact top-k answers
@@ -803,11 +778,10 @@ Status ShardedStore::Search(const Snapshot& snapshot, const Value* query,
   // shards only, and the result says so.
   std::vector<SearchResult> per_shard(shards_.size());
   for (size_t i = 0; i < shards_.size(); ++i) {
-    COCONUT_RETURN_IF_ERROR(SearchShard(snapshot, i, query, exact,
-                                        num_leaves, k, &per_shard[i],
-                                        scratch));
+    COCONUT_RETURN_IF_ERROR(
+        SearchShard(snapshot, i, query, spec, &per_shard[i], scratch));
   }
-  MergeShardResults(snapshot, per_shard, k, result);
+  MergeShardResults(snapshot, per_shard, spec.k, result);
   return Status::OK();
 }
 

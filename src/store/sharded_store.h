@@ -211,32 +211,26 @@ class ShardedStore {
   /// Captures a store-wide snapshot (one per-shard snapshot each).
   Snapshot GetSnapshot() const;
 
-  /// Exact k nearest neighbors across every shard. Neighbor offsets are
-  /// encoded with EncodeOffset.
-  Status ExactSearch(const Value* query, SearchResult* result,
-                     size_t k = 1) const;
-  Status ExactSearch(const Snapshot& snapshot, const Value* query,
-                     SearchResult* result, size_t k = 1,
-                     QueryScratch* scratch = nullptr) const;
+  /// The k-NN query `spec` across every shard of `snapshot`: SearchShard
+  /// for each shard in turn, merged into one top-k. Neighbor offsets are
+  /// encoded with EncodeOffset. Fails as CheckSnapshot does.
+  Status Search(const Snapshot& snapshot, const Value* query,
+                const QuerySpec& spec, SearchResult* result,
+                QueryScratch* scratch = nullptr) const;
 
-  /// Approximate search: best k candidates across every shard's memtable
-  /// and target leaf windows.
-  Status ApproxSearch(const Value* query, size_t num_leaves,
-                      SearchResult* result, size_t k = 1) const;
-  Status ApproxSearch(const Snapshot& snapshot, const Value* query,
-                      size_t num_leaves, SearchResult* result, size_t k = 1,
-                      QueryScratch* scratch = nullptr) const;
+  /// InvalidArgument when `snapshot` was not taken from a store with this
+  /// shard count, NotFound when it holds no entries; OK otherwise.
+  Status CheckSnapshot(const Snapshot& snapshot) const;
 
   /// One shard's share of a store query, the only per-shard read path:
-  /// ExactSearch/ApproxSearch drive it serially, QueryEngine as its
-  /// (query x shard) grid. A shard empty in `snapshot` (or quarantined when
+  /// Search drives it serially, QueryEngine as its (query x shard) grid,
+  /// with the same `spec`. A shard empty in `snapshot` (or quarantined when
   /// it was taken) has no candidates; a `Corruption` quarantines the shard
   /// and answers OK, empty and `degraded`; any other failure comes back
   /// with "shard <i>: " before its message and its code kept. Thread-safe.
   Status SearchShard(const Snapshot& snapshot, size_t shard,
-                     const Value* query, bool exact, size_t num_leaves,
-                     size_t k, SearchResult* result,
-                     QueryScratch* scratch) const;
+                     const Value* query, const QuerySpec& spec,
+                     SearchResult* result, QueryScratch* scratch) const;
 
   /// Merges per-shard answers (indexed by shard id) into one result,
   /// retagging neighbor offsets with the shard id. The result is degraded
@@ -319,11 +313,6 @@ class ShardedStore {
   /// the read path quarantines on checksum failure) and updates the
   /// store.shard.quarantined gauge. Later snapshots leave the shard out.
   void QuarantineShard(size_t i, const Status& cause) const;
-  /// ExactSearch/ApproxSearch body: SearchShard for every shard in turn,
-  /// merged into one top-k.
-  Status Search(const Snapshot& snapshot, const Value* query, bool exact,
-                size_t num_leaves, SearchResult* result, size_t k,
-                QueryScratch* scratch) const;
   /// Locks: call only once quarantined_count_ is non-zero.
   bool IsQuarantined(size_t i) const EXCLUDES(quarantine_mu_) {
     MutexLock lock(&quarantine_mu_);

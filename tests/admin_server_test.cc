@@ -365,7 +365,8 @@ TEST(AdminServer, HealthzReportsDegradedNotUnavailableOnQuarantine) {
   ASSERT_TRUE(corrupted) << "no run sidecar found to corrupt";
   SearchResult r;
   const std::vector<Series> queries = MakeSeries(1, 22);
-  ASSERT_OK(store->ExactSearch(queries[0].data(), &r, 1));
+  ASSERT_OK(store->Search(store->GetSnapshot(), queries[0].data(),
+                          {.mode = QuerySpec::Mode::kExact}, &r));
   EXPECT_TRUE(r.degraded);
 
   // Degraded, not down: 200 so load balancers keep routing reads, with the

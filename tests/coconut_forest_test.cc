@@ -44,7 +44,8 @@ TEST(CoconutForest, StreamingInsertsStayExact) {
     const Series query = qgen->NextSeries();
     const auto [bf_idx, bf_dist] = BruteForceNn(data, query);
     SearchResult r;
-    ASSERT_OK(forest->ExactSearch(query.data(), &r));
+    ASSERT_OK(forest->Search(forest->GetSnapshot(), query.data(),
+                             {.mode = QuerySpec::Mode::kExact}, &r));
     EXPECT_NEAR(r.distance, bf_dist, 1e-4) << "wave " << wave;
   }
   EXPECT_EQ(forest->num_entries(), data.size());
@@ -73,7 +74,8 @@ TEST(CoconutForest, FlushCreatesRunsAndCompactionBoundsThem) {
 
   const auto [bf_idx, bf_dist] = BruteForceNn(batch, batch[123]);
   SearchResult r;
-  ASSERT_OK(forest->ExactSearch(batch[123].data(), &r));
+  ASSERT_OK(forest->Search(forest->GetSnapshot(), batch[123].data(),
+                           {.mode = QuerySpec::Mode::kExact}, &r));
   EXPECT_NEAR(r.distance, 0.0, 1e-4);
   (void)bf_idx;
   (void)bf_dist;
@@ -92,7 +94,8 @@ TEST(CoconutForest, BootstrapsFromExistingDataset) {
   const Series query = qgen->NextSeries();
   const auto [bf_idx, bf_dist] = BruteForceNn(data, query);
   SearchResult r;
-  ASSERT_OK(forest->ExactSearch(query.data(), &r));
+  ASSERT_OK(forest->Search(forest->GetSnapshot(), query.data(),
+                           {.mode = QuerySpec::Mode::kExact}, &r));
   EXPECT_NEAR(r.distance, bf_dist, 1e-4);
 }
 
@@ -111,7 +114,8 @@ TEST(CoconutForest, MaterializedRunsWork) {
   const Series query = gen->NextSeries();
   const auto [bf_idx, bf_dist] = BruteForceNn(data, query);
   SearchResult r;
-  ASSERT_OK(forest->ExactSearch(query.data(), &r));
+  ASSERT_OK(forest->Search(forest->GetSnapshot(), query.data(),
+                           {.mode = QuerySpec::Mode::kExact}, &r));
   EXPECT_NEAR(r.distance, bf_dist, 1e-4);
 }
 
@@ -139,7 +143,8 @@ TEST(CoconutForest, CompactionFallsBackToStreamingMergeUnderTightBudget) {
     const Series query = gen->NextSeries();
     const auto [bf_idx, bf_dist] = BruteForceNn(data, query);
     SearchResult r;
-    ASSERT_OK(forest->ExactSearch(query.data(), &r));
+    ASSERT_OK(forest->Search(forest->GetSnapshot(), query.data(),
+                             {.mode = QuerySpec::Mode::kExact}, &r));
     EXPECT_NEAR(r.distance, bf_dist, 1e-4);
     (void)bf_idx;
   }
@@ -158,8 +163,10 @@ TEST(CoconutForest, ApproxIsUpperBoundOfExact) {
   for (int q = 0; q < 5; ++q) {
     const Series query = gen->NextSeries();
     SearchResult approx, exact;
-    ASSERT_OK(forest->ApproxSearch(query.data(), 1, &approx));
-    ASSERT_OK(forest->ExactSearch(query.data(), &exact));
+    ASSERT_OK(forest->Search(forest->GetSnapshot(), query.data(),
+                             {.mode = QuerySpec::Mode::kApprox}, &approx));
+    ASSERT_OK(forest->Search(forest->GetSnapshot(), query.data(),
+                             {.mode = QuerySpec::Mode::kExact}, &exact));
     EXPECT_GE(approx.distance + 1e-6, exact.distance);
   }
 }
@@ -171,7 +178,9 @@ TEST(CoconutForest, EmptyForestRejectsQueries) {
                                 SmallForest(dir), &forest));
   Series query(64, 0.0f);
   SearchResult r;
-  EXPECT_TRUE(forest->ExactSearch(query.data(), &r).IsNotFound());
+  EXPECT_TRUE(forest->Search(forest->GetSnapshot(), query.data(),
+                             {.mode = QuerySpec::Mode::kExact},
+                             &r).IsNotFound());
 }
 
 }  // namespace

@@ -60,7 +60,8 @@ TEST_P(CoconutTreeTest, ExactSearchEqualsBruteForce) {
     const Series query = qgen->NextSeries();
     const auto [bf_idx, bf_dist] = BruteForceNn(data, query);
     SearchResult result;
-    ASSERT_OK(tree->ExactSearch(query.data(), 1, &result));
+    ASSERT_OK(tree->Search(query.data(), {.mode = QuerySpec::Mode::kExact},
+                           &result));
     EXPECT_NEAR(result.distance, bf_dist, 1e-4)
         << "query " << q << ": exact search disagrees with brute force";
     EXPECT_GT(result.visited_records, 0u);
@@ -84,8 +85,10 @@ TEST_P(CoconutTreeTest, ApproxNeverBeatsExactAndIsValid) {
   for (int q = 0; q < 10; ++q) {
     const Series query = qgen->NextSeries();
     SearchResult approx, exact;
-    ASSERT_OK(tree->ApproxSearch(query.data(), 1, &approx));
-    ASSERT_OK(tree->ExactSearch(query.data(), 1, &exact));
+    ASSERT_OK(tree->Search(query.data(), {.mode = QuerySpec::Mode::kApprox},
+                           &approx));
+    ASSERT_OK(tree->Search(query.data(), {.mode = QuerySpec::Mode::kExact},
+                           &exact));
     // The approximate answer is a real series, so its distance is an upper
     // bound of the exact distance.
     EXPECT_GE(approx.distance + 1e-6, exact.distance);
@@ -201,7 +204,8 @@ TEST_F(CoconutTreeStructureTest, ReopenedIndexAnswersQueries) {
   const Series query = qgen->NextSeries();
   const auto [bf_idx, bf_dist] = BruteForceNn(data_, query);
   SearchResult result;
-  ASSERT_OK(reopened->ExactSearch(query.data(), 1, &result));
+  ASSERT_OK(reopened->Search(query.data(), {.mode = QuerySpec::Mode::kExact},
+                             &result));
   EXPECT_NEAR(result.distance, bf_dist, 1e-4);
 }
 
@@ -230,7 +234,8 @@ TEST_F(CoconutTreeStructureTest, MergeBatchKeepsExactness) {
     const Series query = qgen->NextSeries();
     const auto [bf_idx, bf_dist] = BruteForceNn(data_, query);
     SearchResult result;
-    ASSERT_OK(tree_->ExactSearch(query.data(), 1, &result));
+    ASSERT_OK(tree_->Search(query.data(), {.mode = QuerySpec::Mode::kExact},
+                            &result));
     EXPECT_NEAR(result.distance, bf_dist, 1e-4) << "round " << round;
   }
 }
@@ -247,7 +252,8 @@ TEST_F(CoconutTreeStructureTest, MergeBatchMaterialized) {
   const Series query = gen->NextSeries();
   const auto [bf_idx, bf_dist] = BruteForceNn(data_, query);
   SearchResult result;
-  ASSERT_OK(tree_->ExactSearch(query.data(), 1, &result));
+  ASSERT_OK(tree_->Search(query.data(), {.mode = QuerySpec::Mode::kExact},
+                          &result));
   EXPECT_NEAR(result.distance, bf_dist, 1e-4);
 }
 
@@ -266,7 +272,9 @@ TEST_F(CoconutTreeStructureTest, LargerApproxRadiusNeverWorsensAnswer) {
       double prev = std::numeric_limits<double>::infinity();
       for (size_t r : {1, 2, 4, 10}) {
         SearchResult res;
-        ASSERT_OK(tree_->ApproxSearch(query.data(), r, &res));
+        ASSERT_OK(tree_->Search(
+            query.data(),
+            {.mode = QuerySpec::Mode::kApprox, .approx_leaves = r}, &res));
         EXPECT_LE(res.distance, prev + 1e-9)
             << "radius " << r << " worsened the approximate answer";
         prev = res.distance;
@@ -293,7 +301,8 @@ TEST_F(CoconutTreeStructureTest, BestFirstFetchesOnlyTheQuerySaxWord) {
     const size_t sharing =
         testing::CountSharingSaxWord(data_, data_[q], opts_.summary);
     SearchResult res;
-    ASSERT_OK(tree_->ExactSearch(data_[q].data(), 1, &res));
+    ASSERT_OK(tree_->Search(data_[q].data(), {.mode = QuerySpec::Mode::kExact},
+                            &res));
     EXPECT_EQ(res.distance, 0.0) << "query " << q;
     EXPECT_GE(res.visited_records, 1u) << "query " << q;
     EXPECT_LE(res.visited_records, sharing) << "query " << q;

@@ -58,7 +58,8 @@ TEST_P(CoconutTrieTest, ExactSearchEqualsBruteForce) {
     const Series query = qgen->NextSeries();
     const auto [bf_idx, bf_dist] = BruteForceNn(data_, query);
     SearchResult result;
-    ASSERT_OK(trie_->ExactSearch(query.data(), 1, &result));
+    ASSERT_OK(trie_->Search(query.data(), {.mode = QuerySpec::Mode::kExact},
+                            &result));
     EXPECT_NEAR(result.distance, bf_dist, 1e-4) << "query " << q;
   }
 }
@@ -69,8 +70,10 @@ TEST_P(CoconutTrieTest, ApproxIsUpperBoundOfExact) {
   for (int q = 0; q < 10; ++q) {
     const Series query = qgen->NextSeries();
     SearchResult approx, exact;
-    ASSERT_OK(trie_->ApproxSearch(query.data(), 1, &approx));
-    ASSERT_OK(trie_->ExactSearch(query.data(), 1, &exact));
+    ASSERT_OK(trie_->Search(query.data(), {.mode = QuerySpec::Mode::kApprox},
+                            &approx));
+    ASSERT_OK(trie_->Search(query.data(), {.mode = QuerySpec::Mode::kExact},
+                            &exact));
     EXPECT_GE(approx.distance + 1e-6, exact.distance);
   }
 }
@@ -221,7 +224,8 @@ TEST_F(TrieStructureTest, ReopenAnswersQueries) {
   const Series query = qgen->NextSeries();
   const auto [bf_idx, bf_dist] = BruteForceNn(data_, query);
   SearchResult res;
-  ASSERT_OK(reopened->ExactSearch(query.data(), 1, &res));
+  ASSERT_OK(reopened->Search(query.data(), {.mode = QuerySpec::Mode::kExact},
+                             &res));
   EXPECT_NEAR(res.distance, bf_dist, 1e-4);
 }
 
@@ -234,7 +238,8 @@ TEST_F(TrieStructureTest, BestFirstFetchesOnlyTheQuerySaxWord) {
     const size_t sharing =
         testing::CountSharingSaxWord(data_, data_[q], opts_.summary);
     SearchResult res;
-    ASSERT_OK(trie_->ExactSearch(data_[q].data(), 1, &res));
+    ASSERT_OK(trie_->Search(data_[q].data(), {.mode = QuerySpec::Mode::kExact},
+                            &res));
     EXPECT_EQ(res.distance, 0.0) << "query " << q;
     EXPECT_GE(res.visited_records, 1u) << "query " << q;
     EXPECT_LE(res.visited_records, sharing) << "query " << q;
@@ -275,7 +280,7 @@ TEST(CoconutTrieDuplicates, IdenticalSeriesOverflowOneKeyGroup) {
   EXPECT_EQ(trie->num_entries(), 400u);
   const auto [bf_idx, bf_dist] = BruteForceNn(data, base);
   SearchResult res;
-  ASSERT_OK(trie->ExactSearch(base.data(), 1, &res));
+  ASSERT_OK(trie->Search(base.data(), {.mode = QuerySpec::Mode::kExact}, &res));
   EXPECT_NEAR(res.distance, bf_dist, 1e-4);
   EXPECT_NEAR(res.distance, 0.0, 1e-4);
 }
@@ -304,7 +309,9 @@ TEST(CoconutTrieConcurrency, ConstReadPathsAreThreadSafe) {
 
   std::vector<SearchResult> serial(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_OK(trie->ExactSearch(queries[i].data(), 1, &serial[i], 2));
+    ASSERT_OK(trie->Search(queries[i].data(),
+                           {.mode = QuerySpec::Mode::kExact, .k = 2},
+                           &serial[i]));
   }
 
   ThreadPool pool(4);

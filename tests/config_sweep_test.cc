@@ -47,7 +47,8 @@ TEST_P(TreeConfigSweep, ExactAcrossSummarizationConfigs) {
     const Series query = qgen->NextSeries();
     const auto [bf_idx, bf_dist] = BruteForceNn(data, query);
     SearchResult r;
-    ASSERT_OK(tree->ExactSearch(query.data(), 1, &r));
+    ASSERT_OK(tree->Search(query.data(), {.mode = QuerySpec::Mode::kExact},
+                           &r));
     EXPECT_NEAR(r.distance, bf_dist, 1e-4)
         << "len=" << c.length << " segs=" << c.segments
         << " bits=" << c.bits;

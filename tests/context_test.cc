@@ -539,8 +539,9 @@ TEST(StoreDeadline, SearchKeepsTheDeadlineCodeAndNamesTheShard) {
   QueryScratch scratch;
   scratch.context = &dead;
   SearchResult serial_result;
-  const Status serial = store->ExactSearch(
-      store->GetSnapshot(), queries[0].data(), &serial_result, 3, &scratch);
+  const Status serial = store->Search(
+      store->GetSnapshot(), queries[0].data(),
+      {.mode = QuerySpec::Mode::kExact, .k = 3}, &serial_result, &scratch);
   EXPECT_TRUE(serial.IsDeadlineExceeded()) << serial.ToString();
   EXPECT_FALSE(serial.IsTransient());
   EXPECT_NE(serial.message().find("shard "), std::string::npos)

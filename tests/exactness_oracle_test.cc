@@ -7,8 +7,8 @@
 //    and ties straddle the memtable and a run, and one query's true
 //    neighbours all sit in the memtable (its bound must prune the runs);
 //  * a ShardedStore with 1, 2, 4 and 8 shards of the same shape, through
-//    QueryEngine on 1-thread and 4-thread pools, whose first batch is large
-//    enough to set the shard boundaries.
+//    its serial Search and through QueryEngine on 1-thread and 4-thread
+//    pools, whose first batch is large enough to set the shard boundaries.
 // Approximate search is checked too. On a Coconut-Tree it must return the
 // brute-force top-k over the entries of the query's leaf window, found from
 // the tree's public API. With a window that covers every page, it must
@@ -227,7 +227,11 @@ template <typename Index>
 auto IndexSearch(const Index& index) {
   return [&index](const Value* q, size_t approx_leaves, size_t k,
                   SearchResult* r, QueryScratch* scratch) {
-    return index.ExactSearch(q, approx_leaves, r, k, scratch);
+    return index.Search(q,
+                        {.mode = QuerySpec::Mode::kExact,
+                         .k = k,
+                         .approx_leaves = approx_leaves},
+                        r, scratch);
   };
 }
 
@@ -237,7 +241,9 @@ template <typename Index>
 auto IndexApprox(const Index& index, size_t pages) {
   return [&index, pages](const Value* q, size_t, size_t k, SearchResult* r,
                          QueryScratch* scratch) {
-    return index.ApproxSearch(q, pages, r, k, scratch);
+    return index.Search(
+        q, {.mode = QuerySpec::Mode::kApprox, .k = k, .approx_leaves = pages},
+        r, scratch);
   };
 }
 
@@ -322,7 +328,11 @@ TEST_P(ExactnessOracle, TreeApproxMatchesBruteForceOverItsWindow) {
   ASSERT_OK(CoconutTree::Open(dir.File("i.ctree"), raw, &tree));
   const auto approx = [&](const Value* q, size_t approx_leaves, size_t k,
                           SearchResult* r, QueryScratch* scratch) {
-    return tree->ApproxSearch(q, approx_leaves, r, k, scratch);
+    return tree->Search(q,
+                        {.mode = QuerySpec::Mode::kApprox,
+                         .k = k,
+                         .approx_leaves = approx_leaves},
+                        r, scratch);
   };
   const TreeWindowOracle window(*tree, w);
   CheckAgainstOracle(w, "tree approx " + Label(c, opts, w), approx, window);
@@ -350,14 +360,22 @@ TEST_P(ExactnessOracle, ForestMatchesBruteForce) {
 
   const auto search = [&](const Value* q, size_t approx_leaves, size_t k,
                           SearchResult* r, QueryScratch* scratch) {
-    return forest->ExactSearch(snap, q, approx_leaves, r, k, scratch);
+    return forest->Search(snap, q,
+                          {.mode = QuerySpec::Mode::kExact,
+                           .k = k,
+                           .approx_leaves = approx_leaves},
+                          r, scratch);
   };
   const std::string label = Label(c, opts.tree, lw.all);
   CheckAgainstOracle(lw.all, "forest " + label, search, AllSeries(lw.all));
   // Every run has fewer pages than the forest has series.
   const auto approx_all_pages = [&](const Value* q, size_t, size_t k,
                                     SearchResult* r, QueryScratch* scratch) {
-    return forest->ApproxSearch(snap, q, lw.all.data.size(), r, k, scratch);
+    return forest->Search(snap, q,
+                          {.mode = QuerySpec::Mode::kApprox,
+                           .k = k,
+                           .approx_leaves = lw.all.data.size()},
+                          r, scratch);
   };
   CheckAgainstOracle(lw.all, "forest approx, all pages " + label,
                      approx_all_pages, AllSeries(lw.all));
@@ -439,30 +457,40 @@ TEST_P(ExactnessOracle, StoreThroughQueryEngineMatchesBruteForce) {
       if (g < kRuns) ASSERT_OK(store->Flush());
     }
     const ShardedStore::Snapshot snap = store->GetSnapshot();
-    for (size_t threads : kThreads) {
-      ThreadPool pool(threads);
-      QueryEngine engine(&pool);
-      // Exact at each window, and approximate with a window wider than any
-      // run (every run has fewer pages than the store has series).
-      std::vector<QuerySpec> specs;
-      for (size_t approx_leaves : kApproxLeaves) {
-        specs.push_back(QuerySpec{});
-        specs.back().approx_leaves = approx_leaves;
-      }
-      specs.push_back(QuerySpec{});
-      specs.back().mode = QuerySpec::Mode::kApprox;
-      specs.back().approx_leaves = lw.all.data.size();
-      for (size_t k : kKs) {
-        for (QuerySpec spec : specs) {
-          SCOPED_TRACE("store " + Label(c, tree, lw.all) +
-                       " shards=" + std::to_string(shards) +
-                       " threads=" + std::to_string(threads) +
-                       " k=" + std::to_string(k) +
-                       (spec.mode == QuerySpec::Mode::kApprox ? " approx"
-                                                              : " exact") +
-                       " approx_leaves=" +
-                       std::to_string(spec.approx_leaves));
-          spec.k = k;
+    // Exact at each window, and approximate with a window wider than any
+    // run (every run has fewer pages than the store has series).
+    std::vector<QuerySpec> specs;
+    for (size_t approx_leaves : kApproxLeaves) {
+      specs.push_back(
+          {.mode = QuerySpec::Mode::kExact, .approx_leaves = approx_leaves});
+    }
+    specs.push_back({.mode = QuerySpec::Mode::kApprox,
+                     .approx_leaves = lw.all.data.size()});
+    for (size_t k : kKs) {
+      for (QuerySpec spec : specs) {
+        spec.k = k;
+        SCOPED_TRACE("store " + Label(c, tree, lw.all) +
+                     " shards=" + std::to_string(shards) +
+                     " k=" + std::to_string(k) +
+                     (spec.mode == QuerySpec::Mode::kApprox ? " approx"
+                                                            : " exact") +
+                     " approx_leaves=" + std::to_string(spec.approx_leaves));
+        // The store's serial Search, then QueryEngine batches, on the same
+        // snapshot and spec.
+        for (size_t qi = 0; qi < lw.all.queries.size(); ++qi) {
+          SCOPED_TRACE("serial query=" + std::to_string(qi));
+          QueryScratch scratch;
+          QueryTrace trace;
+          scratch.trace = &trace;
+          SearchResult r;
+          ASSERT_OK(store->Search(snap, lw.all.queries[qi].data(), spec, &r,
+                                  &scratch));
+          ExpectOracleAnswer(lw.all.data, lw.all.queries[qi], k, r, trace);
+        }
+        for (size_t threads : kThreads) {
+          SCOPED_TRACE("threads=" + std::to_string(threads));
+          ThreadPool pool(threads);
+          QueryEngine engine(&pool);
           std::vector<SearchResult> results;
           std::vector<QueryTrace> traces;
           ASSERT_OK(engine.ExecuteBatch(*store, snap, lw.all.queries, spec,

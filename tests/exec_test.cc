@@ -117,7 +117,8 @@ TEST(Knn, TreeK1MatchesSingleNearestNeighbor) {
     const Series query = qgen->NextSeries();
     const auto [bf_idx, bf_dist] = BruteForceNn(data, query);
     SearchResult r;
-    ASSERT_OK(tree->ExactSearch(query.data(), 1, &r));
+    ASSERT_OK(tree->Search(query.data(), {.mode = QuerySpec::Mode::kExact},
+                           &r));
     EXPECT_NEAR(r.distance, bf_dist, 1e-4);
     ASSERT_EQ(r.neighbors.size(), 1u);
     EXPECT_EQ(r.neighbors[0].offset, r.offset);
@@ -141,7 +142,8 @@ TEST(Knn, TreeTopKMatchesBruteForce) {
     const size_t k = 5;
     const auto expected = BruteForceKnn(data, query, k);
     SearchResult r;
-    ASSERT_OK(tree->ExactSearch(query.data(), 1, &r, k));
+    ASSERT_OK(tree->Search(query.data(),
+                           {.mode = QuerySpec::Mode::kExact, .k = k}, &r));
     ASSERT_EQ(r.neighbors.size(), k);
     for (size_t i = 0; i < k; ++i) {
       EXPECT_NEAR(r.neighbors[i].distance, expected[i].second, 1e-4)
@@ -177,7 +179,8 @@ TEST(Knn, ForestTopKMatchesBruteForceAcrossRuns) {
     const size_t k = 4;
     const auto expected = BruteForceKnn(data, query, k);
     SearchResult r;
-    ASSERT_OK(forest->ExactSearch(query.data(), &r, k));
+    ASSERT_OK(forest->Search(forest->GetSnapshot(), query.data(),
+                             {.mode = QuerySpec::Mode::kExact, .k = k}, &r));
     ASSERT_EQ(r.neighbors.size(), k);
     for (size_t i = 0; i < k; ++i) {
       EXPECT_NEAR(r.neighbors[i].distance, expected[i].second, 1e-4)
@@ -214,7 +217,9 @@ TEST(QueryEngine, TreeBatchMatchesSerialExecution) {
 
   for (size_t i = 0; i < queries.size(); ++i) {
     SearchResult serial;
-    ASSERT_OK(tree->ExactSearch(queries[i].data(), 1, &serial, spec.k));
+    ASSERT_OK(tree->Search(queries[i].data(),
+                           {.mode = QuerySpec::Mode::kExact, .k = spec.k},
+                           &serial));
     ASSERT_EQ(batch[i].neighbors.size(), serial.neighbors.size());
     for (size_t j = 0; j < serial.neighbors.size(); ++j) {
       EXPECT_EQ(batch[i].neighbors[j].offset, serial.neighbors[j].offset);
@@ -257,7 +262,9 @@ TEST(QueryEngine, ForestBatchOn4ThreadsMatchesSerialExecution) {
 
   for (size_t i = 0; i < queries.size(); ++i) {
     SearchResult serial;
-    ASSERT_OK(forest->ExactSearch(queries[i].data(), &serial, spec.k));
+    ASSERT_OK(forest->Search(forest->GetSnapshot(), queries[i].data(),
+                             {.mode = QuerySpec::Mode::kExact, .k = spec.k},
+                             &serial));
     ASSERT_EQ(batch[i].neighbors.size(), serial.neighbors.size());
     for (size_t j = 0; j < serial.neighbors.size(); ++j) {
       EXPECT_EQ(batch[i].neighbors[j].offset, serial.neighbors[j].offset);
@@ -346,7 +353,10 @@ TEST(QueryEngine, ApproxBatchMatchesSerial) {
   ASSERT_OK(engine.ExecuteBatch(*tree, queries, spec, &batch));
   for (size_t i = 0; i < queries.size(); ++i) {
     SearchResult serial;
-    ASSERT_OK(tree->ApproxSearch(queries[i].data(), 3, &serial));
+    ASSERT_OK(tree->Search(queries[i].data(),
+                           {.mode = QuerySpec::Mode::kApprox,
+                            .approx_leaves = 3},
+                           &serial));
     EXPECT_EQ(batch[i].offset, serial.offset);
     EXPECT_NEAR(batch[i].distance, serial.distance, 1e-12);
   }

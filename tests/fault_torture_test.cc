@@ -106,7 +106,8 @@ void ExpectExactMatchesOracle(ShardedStore* store,
   auto gen = MakeGenerator(DatasetKind::kRandomWalk, kSeriesLen, rng());
   const Series query = gen->NextSeries();
   SearchResult r;
-  ASSERT_OK(store->ExactSearch(query.data(), &r, kTopK));
+  ASSERT_OK(store->Search(store->GetSnapshot(), query.data(),
+                          {.mode = QuerySpec::Mode::kExact, .k = kTopK}, &r));
   EXPECT_FALSE(r.degraded);
   std::vector<double> oracle = AllDistances(model, query);
   if (oracle.size() > kTopK) oracle.resize(kTopK);
@@ -258,7 +259,9 @@ TEST(FaultTorture, CrashAndCorruptRounds) {
       const Series query = gen->NextSeries();
       const std::vector<double> oracle = AllDistances(model, query);
       SearchResult r;
-      ASSERT_OK(hurt->ExactSearch(query.data(), &r, kTopK));
+      ASSERT_OK(hurt->Search(hurt->GetSnapshot(), query.data(),
+                             {.mode = QuerySpec::Mode::kExact, .k = kTopK},
+                             &r));
       degraded_seen = degraded_seen || r.degraded;
       ASSERT_LE(r.neighbors.size(), kTopK);
       for (size_t j = 0; j < r.neighbors.size(); ++j) {

@@ -115,10 +115,11 @@ TEST(ForestConcurrency, ReadersStayExactWhileWritersInsertFlushCompact) {
       const size_t k = 1 + iter % 3;
 
       SearchResult exact;
-      Status st = forest->ExactSearch(snap, &query[0], 1, &exact, k);
+      Status st = forest->Search(
+          snap, &query[0], {.mode = QuerySpec::Mode::kExact, .k = k}, &exact);
       if (!st.ok()) {
         std::lock_guard<std::mutex> lock(failures_mu);
-        failures.push_back("ExactSearch: " + st.ToString());
+        failures.push_back("exact Search: " + st.ToString());
         return;
       }
       const std::vector<double> oracle =
@@ -130,10 +131,11 @@ TEST(ForestConcurrency, ReadersStayExactWhileWritersInsertFlushCompact) {
       }
 
       SearchResult approx;
-      st = forest->ApproxSearch(snap, &query[0], 1, &approx, k);
+      st = forest->Search(snap, &query[0],
+                          {.mode = QuerySpec::Mode::kApprox, .k = k}, &approx);
       if (!st.ok()) {
         std::lock_guard<std::mutex> lock(failures_mu);
-        failures.push_back("ApproxSearch: " + st.ToString());
+        failures.push_back("approx Search: " + st.ToString());
         return;
       }
       // Approximate distance upper-bounds the exact one on the same state.
@@ -154,7 +156,9 @@ TEST(ForestConcurrency, ReadersStayExactWhileWritersInsertFlushCompact) {
   // Final state: everything visible and still exact.
   EXPECT_EQ(forest->num_entries(), kTotal);
   SearchResult final_result;
-  ASSERT_OK(forest->ExactSearch(queries[0].data(), &final_result, 3));
+  ASSERT_OK(forest->Search(forest->GetSnapshot(), queries[0].data(),
+                           {.mode = QuerySpec::Mode::kExact, .k = 3},
+                           &final_result));
   const std::vector<double> oracle =
       OracleDistances(data, kTotal, queries[0], 3);
   ASSERT_EQ(final_result.neighbors.size(), oracle.size());

@@ -109,11 +109,14 @@ TEST_P(AllIndexesTest, EveryIndexAgreesWithBruteForce) {
     const auto [bf_idx, bf_dist] = BruteForceNn(data, query);
     SearchResult r;
 
-    ASSERT_OK(ctree->ExactSearch(query.data(), 1, &r));
+    ASSERT_OK(ctree->Search(query.data(), {.mode = QuerySpec::Mode::kExact},
+                            &r));
     EXPECT_NEAR(r.distance, bf_dist, 1e-4) << "CTree, query " << q;
-    ASSERT_OK(ctree_full->ExactSearch(query.data(), 1, &r));
+    ASSERT_OK(ctree_full->Search(query.data(),
+                                 {.mode = QuerySpec::Mode::kExact}, &r));
     EXPECT_NEAR(r.distance, bf_dist, 1e-4) << "CTreeFull, query " << q;
-    ASSERT_OK(ctrie->ExactSearch(query.data(), 1, &r));
+    ASSERT_OK(ctrie->Search(query.data(), {.mode = QuerySpec::Mode::kExact},
+                            &r));
     EXPECT_NEAR(r.distance, bf_dist, 1e-4) << "CTrie, query " << q;
     ASSERT_OK(isax2->ExactSearch(query.data(), &r));
     EXPECT_NEAR(r.distance, bf_dist, 1e-4) << "iSAX2, query " << q;
@@ -191,7 +194,8 @@ TEST(MixedWorkload, InterleavedUpdatesAndQueriesStayExact) {
       const Series query = qgen->NextSeries();
       const auto [bf_idx, bf_dist] = BruteForceNn(data, query);
       SearchResult rt, ra;
-      ASSERT_OK(tree->ExactSearch(query.data(), 1, &rt));
+      ASSERT_OK(tree->Search(query.data(), {.mode = QuerySpec::Mode::kExact},
+                             &rt));
       ASSERT_OK(ads->ExactSearch(query.data(), &ra));
       EXPECT_NEAR(rt.distance, bf_dist, 1e-4) << "round " << round;
       EXPECT_NEAR(ra.distance, bf_dist, 1e-4) << "round " << round;

@@ -140,8 +140,12 @@ TEST(ShardedStore, CrossShardKnnMatchesUnshardedForest) {
     for (size_t qi = 0; qi < queries.size(); ++qi) {
       const size_t k = 1 + qi % 5;
       SearchResult from_forest, from_store;
-      ASSERT_OK(forest->ExactSearch(queries[qi].data(), &from_forest, k));
-      ASSERT_OK(store->ExactSearch(queries[qi].data(), &from_store, k));
+      ASSERT_OK(forest->Search(forest->GetSnapshot(), queries[qi].data(),
+                               {.mode = QuerySpec::Mode::kExact, .k = k},
+                               &from_forest));
+      ASSERT_OK(store->Search(store->GetSnapshot(), queries[qi].data(),
+                              {.mode = QuerySpec::Mode::kExact, .k = k},
+                              &from_store));
       ASSERT_EQ(from_store.neighbors.size(), from_forest.neighbors.size());
       for (size_t j = 0; j < from_forest.neighbors.size(); ++j) {
         EXPECT_NEAR(from_store.neighbors[j].distance,
@@ -150,7 +154,9 @@ TEST(ShardedStore, CrossShardKnnMatchesUnshardedForest) {
       }
       // Approximate store search is an upper bound of the exact answer.
       SearchResult approx;
-      ASSERT_OK(store->ApproxSearch(queries[qi].data(), 1, &approx, k));
+      ASSERT_OK(store->Search(store->GetSnapshot(), queries[qi].data(),
+                              {.mode = QuerySpec::Mode::kApprox, .k = k},
+                              &approx));
       EXPECT_GE(approx.distance + 1e-6, from_store.distance);
     }
   }
@@ -232,34 +238,33 @@ TEST(ShardedStore, QueryEngineBatchMatchesSerialStoreSearch) {
     const ShardedStore::Snapshot snap = store->GetSnapshot();
     for (const auto mode :
          {QuerySpec::Mode::kExact, QuerySpec::Mode::kApprox}) {
-      QuerySpec spec;
-      spec.mode = mode;
-      spec.k = 3;
-      // The serial exact search takes the window of one leaf.
-      spec.approx_leaves = mode == QuerySpec::Mode::kExact ? 1 : 2;
-      std::vector<SearchResult> batch;
-      ASSERT_OK(engine.ExecuteBatch(*store, snap, queries, spec, &batch));
-      ASSERT_EQ(batch.size(), queries.size());
-      for (size_t i = 0; i < queries.size(); ++i) {
-        SearchResult serial;
-        if (mode == QuerySpec::Mode::kExact) {
-          ASSERT_OK(store->ExactSearch(snap, queries[i].data(), &serial,
-                                       spec.k));
-        } else {
-          ASSERT_OK(store->ApproxSearch(snap, queries[i].data(),
-                                        spec.approx_leaves, &serial,
-                                        spec.k));
+      for (const size_t approx_leaves : {1, 2}) {
+        SCOPED_TRACE((corrupt ? "corrupt " : "healthy ") +
+                     std::string(mode == QuerySpec::Mode::kExact ? "exact"
+                                                                 : "approx") +
+                     " approx_leaves=" + std::to_string(approx_leaves));
+        const QuerySpec spec{
+            .mode = mode, .k = 3, .approx_leaves = approx_leaves};
+        std::vector<SearchResult> batch;
+        ASSERT_OK(engine.ExecuteBatch(*store, snap, queries, spec, &batch));
+        ASSERT_EQ(batch.size(), queries.size());
+        for (size_t i = 0; i < queries.size(); ++i) {
+          SearchResult serial;
+          ASSERT_OK(store->Search(snap, queries[i].data(), spec, &serial));
+          ASSERT_EQ(batch[i].neighbors.size(), serial.neighbors.size());
+          for (size_t j = 0; j < serial.neighbors.size(); ++j) {
+            EXPECT_EQ(batch[i].neighbors[j].offset,
+                      serial.neighbors[j].offset);
+            EXPECT_EQ(batch[i].neighbors[j].distance,
+                      serial.neighbors[j].distance);
+          }
+          EXPECT_EQ(batch[i].visited_records, serial.visited_records)
+              << "query " << i;
+          EXPECT_EQ(batch[i].leaves_read, serial.leaves_read)
+              << "query " << i;
+          EXPECT_EQ(batch[i].degraded, serial.degraded) << "query " << i;
+          EXPECT_EQ(batch[i].degraded, corrupt) << "query " << i;
         }
-        ASSERT_EQ(batch[i].neighbors.size(), serial.neighbors.size());
-        for (size_t j = 0; j < serial.neighbors.size(); ++j) {
-          EXPECT_EQ(batch[i].neighbors[j].offset, serial.neighbors[j].offset);
-          EXPECT_EQ(batch[i].neighbors[j].distance,
-                    serial.neighbors[j].distance);
-        }
-        EXPECT_EQ(batch[i].visited_records, serial.visited_records)
-            << "query " << i;
-        EXPECT_EQ(batch[i].degraded, serial.degraded) << "query " << i;
-        EXPECT_EQ(batch[i].degraded, corrupt) << "query " << i;
       }
     }
   }
@@ -280,7 +285,9 @@ TEST(ShardedStore, ManifestRoundTripSurvivesCrashReopen) {
     ASSERT_OK(store->InsertBatch(data));
     ASSERT_OK(store->Flush());  // re-commits the manifest with entry counts
     for (size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_OK(store->ExactSearch(queries[i].data(), &before[i], 3));
+      ASSERT_OK(store->Search(store->GetSnapshot(), queries[i].data(),
+                              {.mode = QuerySpec::Mode::kExact, .k = 3},
+                              &before[i]));
     }
     // The store object goes out of scope with no clean-shutdown step:
     // reopening is always the crash-recovery path.
@@ -306,7 +313,8 @@ TEST(ShardedStore, ManifestRoundTripSurvivesCrashReopen) {
   EXPECT_EQ(store->num_entries(), data.size());
   for (size_t i = 0; i < queries.size(); ++i) {
     SearchResult after;
-    ASSERT_OK(store->ExactSearch(queries[i].data(), &after, 3));
+    ASSERT_OK(store->Search(store->GetSnapshot(), queries[i].data(),
+                            {.mode = QuerySpec::Mode::kExact, .k = 3}, &after));
     ASSERT_EQ(after.neighbors.size(), before[i].neighbors.size());
     for (size_t j = 0; j < before[i].neighbors.size(); ++j) {
       EXPECT_EQ(after.neighbors[j].offset, before[i].neighbors[j].offset);
@@ -468,8 +476,12 @@ void ExpectStoreMatchesUnshardedForest(const ScratchDir& dir,
   for (size_t qi = 0; qi < queries.size(); ++qi) {
     const size_t k = 1 + qi % 4;
     SearchResult from_store, from_forest;
-    ASSERT_OK(store->ExactSearch(queries[qi].data(), &from_store, k));
-    ASSERT_OK(forest->ExactSearch(queries[qi].data(), &from_forest, k));
+    ASSERT_OK(store->Search(store->GetSnapshot(), queries[qi].data(),
+                            {.mode = QuerySpec::Mode::kExact, .k = k},
+                            &from_store));
+    ASSERT_OK(forest->Search(forest->GetSnapshot(), queries[qi].data(),
+                             {.mode = QuerySpec::Mode::kExact, .k = k},
+                             &from_forest));
     const std::vector<double> oracle = OracleTopK(expected, queries[qi], k);
     ASSERT_EQ(from_store.neighbors.size(), from_forest.neighbors.size())
         << tag << " query " << qi;
@@ -1187,7 +1199,8 @@ TEST(ShardedStoreDegraded, CorruptShardQuarantinesAndServesDegraded) {
   const std::vector<Series> queries = MakeSeries(5, 11002);
   for (const Series& q : queries) {
     SearchResult r;
-    ASSERT_OK(store->ExactSearch(q.data(), &r, 3));
+    ASSERT_OK(store->Search(store->GetSnapshot(), q.data(),
+                            {.mode = QuerySpec::Mode::kExact, .k = 3}, &r));
     EXPECT_TRUE(r.degraded);
     const std::vector<double> oracle = OracleTopK(healthy, q, 3);
     ASSERT_EQ(r.neighbors.size(), oracle.size());
@@ -1232,7 +1245,8 @@ TEST(ShardedStoreDegraded, ReadTimeChecksumFailureQuarantinesShard) {
 
   const std::vector<Series> queries = MakeSeries(4, 12001);
   SearchResult r;
-  ASSERT_OK(store->ExactSearch(queries[0].data(), &r, 3));
+  ASSERT_OK(store->Search(store->GetSnapshot(), queries[0].data(),
+                          {.mode = QuerySpec::Mode::kExact, .k = 3}, &r));
   EXPECT_TRUE(r.degraded);
   EXPECT_EQ(store->QuarantinedShards(), 1u);
   std::string detail;
@@ -1244,7 +1258,8 @@ TEST(ShardedStoreDegraded, ReadTimeChecksumFailureQuarantinesShard) {
   // Later snapshots carry the flag, reads keep answering, writes refuse.
   EXPECT_TRUE(store->GetSnapshot().degraded);
   SearchResult again;
-  ASSERT_OK(store->ExactSearch(queries[1].data(), &again, 2));
+  ASSERT_OK(store->Search(store->GetSnapshot(), queries[1].data(),
+                          {.mode = QuerySpec::Mode::kExact, .k = 2}, &again));
   EXPECT_TRUE(again.degraded);
   EXPECT_FALSE(store->InsertBatch(MakeSeries(5, 12002)).ok());
   EXPECT_FALSE(store->WriteHealth().ok());
@@ -1309,7 +1324,8 @@ TEST(ShardedStoreDegraded, ReadTimeCorruptionThroughEngineQuarantinesShard) {
   ASSERT_OK(engine.ExecuteBatch(*store, queries, spec, &results));
   expect_degraded_oracle(results, /*exact=*/true);
   SearchResult serial;
-  ASSERT_OK(store->ExactSearch(queries[0].data(), &serial, 3));
+  ASSERT_OK(store->Search(store->GetSnapshot(), queries[0].data(),
+                          {.mode = QuerySpec::Mode::kExact, .k = 3}, &serial));
   EXPECT_TRUE(serial.degraded);
   EXPECT_EQ(failed->Value(), failed_before);
   EXPECT_EQ(store->QuarantinedShards(), 1u);
@@ -1331,7 +1347,8 @@ TEST(ShardedStoreDegraded, CorruptSidecarIsReadOnce) {
   const std::vector<Series> queries = MakeSeries(4, 12004);
   for (const Series& q : queries) {
     SearchResult r;
-    ASSERT_OK(store->ExactSearch(before, q.data(), &r, 3));
+    ASSERT_OK(store->Search(before, q.data(),
+                            {.mode = QuerySpec::Mode::kExact, .k = 3}, &r));
     EXPECT_TRUE(r.degraded);
     EXPECT_EQ(failed->Value(), failed_before + 1);
   }
@@ -1501,9 +1518,11 @@ TEST(ShardedStoreConcurrency, ReadersAndEngineStayConsistentUnderIngest) {
       const size_t k = 1 + iter % 3;
 
       SearchResult exact;
-      Status st = store->ExactSearch(snap, query.data(), &exact, k);
+      Status st = store->Search(snap, query.data(),
+                                {.mode = QuerySpec::Mode::kExact, .k = k},
+                                &exact);
       if (!st.ok()) {
-        record_failure("ExactSearch: " + st.ToString());
+        record_failure("exact Search: " + st.ToString());
         return;
       }
       if (exact.neighbors.size() !=
@@ -1519,9 +1538,10 @@ TEST(ShardedStoreConcurrency, ReadersAndEngineStayConsistentUnderIngest) {
         }
       }
       SearchResult approx;
-      st = store->ApproxSearch(snap, query.data(), 1, &approx, k);
+      st = store->Search(snap, query.data(),
+                         {.mode = QuerySpec::Mode::kApprox, .k = k}, &approx);
       if (!st.ok()) {
-        record_failure("ApproxSearch: " + st.ToString());
+        record_failure("approx Search: " + st.ToString());
         return;
       }
       if (approx.distance + 1e-6 < exact.distance) {
@@ -1563,7 +1583,9 @@ TEST(ShardedStoreConcurrency, ReadersAndEngineStayConsistentUnderIngest) {
   EXPECT_EQ(store->num_entries(), kTotal);
   for (size_t qi = 0; qi < 4; ++qi) {
     SearchResult final_result;
-    ASSERT_OK(store->ExactSearch(queries[qi].data(), &final_result, 3));
+    ASSERT_OK(store->Search(store->GetSnapshot(), queries[qi].data(),
+                            {.mode = QuerySpec::Mode::kExact, .k = 3},
+                            &final_result));
     const std::vector<double> oracle =
         OracleDistances(data, kTotal, queries[qi], 3);
     ASSERT_EQ(final_result.neighbors.size(), oracle.size());
