@@ -1,5 +1,5 @@
-// Wall-clock stopwatch used by the benchmark harnesses and the obs stage
-// timers.
+// Wall-clock stopwatch used by the benchmark harnesses and the build
+// statistics (instrumented stages use Stage, src/obs/stage.h).
 #ifndef COCONUT_COMMON_TIMER_H_
 #define COCONUT_COMMON_TIMER_H_
 

@@ -6,13 +6,12 @@
 #include <limits>
 
 #include "src/common/crc32c.h"
-#include "src/common/timer.h"
 #include "src/core/coconut_tree.h"
 #include "src/core/coconut_trie.h"
 #include "src/core/tree_format.h"
 #include "src/exec/thread_pool.h"
 #include "src/obs/metrics.h"
-#include "src/obs/trace.h"
+#include "src/obs/stage.h"
 #include "src/series/distance.h"
 #include "src/summary/invsax.h"
 #include "src/summary/mindist.h"
@@ -122,8 +121,9 @@ Status SimsArrays::Load(uint64_t n, size_t w,
 template <class Index>
 Status SimsSearch<Index>::Route(const Index& index, const Value* query,
                                 size_t window_pages, QueryScratch* scratch,
-                                TraceStages* spans, Stopwatch* stage,
                                 EntryRange* window) {
+  Stage stage("search.route", "query", nullptr,
+              scratch->trace ? &scratch->trace->route_ns : nullptr);
   const SummaryOptions& sum = index.options().summary;
   scratch->Prepare(sum.series_length, sum.segments);
   PaaTransform(query, sum.series_length, sum.segments, scratch->paa.data());
@@ -137,11 +137,6 @@ Status SimsSearch<Index>::Route(const Index& index, const Value* query,
   // Clamped so that page metadata can never index past the SIMS arrays.
   window->end = std::min(index.PageEntries(pages.hi).end, index.num_entries());
   window->begin = std::min(index.PageEntries(pages.lo).begin, window->end);
-  spans->Mark("search.route", "query");
-  if (scratch->trace != nullptr) {
-    scratch->trace->route_ns += stage->ElapsedNanos();
-    stage->Restart();
-  }
   return Status::OK();
 }
 
@@ -226,11 +221,10 @@ Status SimsSearch<Index>::Approx(const Index& index, const Value* query,
                                  QueryScratch* scratch, ScanCount* count) {
   const SimsArrays* sims;
   COCONUT_RETURN_IF_ERROR(index.Sims(&sims));
-  Stopwatch stage;  // consulted only when tracing
-  TraceStages spans;
   EntryRange window;
-  COCONUT_RETURN_IF_ERROR(
-      Route(index, query, num_pages, scratch, &spans, &stage, &window));
+  COCONUT_RETURN_IF_ERROR(Route(index, query, num_pages, scratch, &window));
+  Stage stage("search.approx", "query", nullptr,
+              scratch->trace ? &scratch->trace->approx_ns : nullptr);
 
   // Lower bounds for the window's entries only: one batched kernel call.
   const SummaryOptions& sum = index.options().summary;
@@ -239,14 +233,8 @@ Status SimsSearch<Index>::Approx(const Index& index, const Value* query,
                          sims->sax() + window.begin * sum.segments,
                          sum.segments, window.size(), sum,
                          scratch->mindists.data());
-  COCONUT_RETURN_IF_ERROR(Scan(index, *sims, query, window,
-                               scratch->mindists.data(), /*exact=*/false, knn,
-                               scratch, count));
-  spans.Mark("search.approx", "query");
-  if (QueryTrace* trace = scratch->trace) {
-    trace->approx_ns += stage.ElapsedNanos();
-  }
-  return Status::OK();
+  return Scan(index, *sims, query, window, scratch->mindists.data(),
+              /*exact=*/false, knn, scratch, count);
 }
 
 template <class Index>
@@ -256,11 +244,10 @@ Status SimsSearch<Index>::Exact(const Index& index, const Value* query,
   // Lines 3-4: the in-memory summarizations, loaded once per index.
   const SimsArrays* sims;
   COCONUT_RETURN_IF_ERROR(index.Sims(&sims));
-  Stopwatch stage;  // consulted only when tracing
-  TraceStages spans;
   EntryRange window;
-  COCONUT_RETURN_IF_ERROR(
-      Route(index, query, window_pages, scratch, &spans, &stage, &window));
+  COCONUT_RETURN_IF_ERROR(Route(index, query, window_pages, scratch, &window));
+  Stage stage("search.refine", "query", nullptr,
+              scratch->trace ? &scratch->trace->refine_ns : nullptr);
 
   // Lines 8-10: lower bounds for every entry, in parallel.
   const uint64_t n = index.num_entries();
@@ -276,10 +263,6 @@ Status SimsSearch<Index>::Exact(const Index& index, const Value* query,
     COCONUT_RETURN_IF_ERROR(Scan(index, *sims, query, range,
                                  mindists + range.begin, /*exact=*/true, knn,
                                  scratch, count));
-  }
-  spans.Mark("search.refine", "query");
-  if (QueryTrace* trace = scratch->trace) {
-    trace->refine_ns += stage.ElapsedNanos();
   }
   return Status::OK();
 }

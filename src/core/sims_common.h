@@ -79,9 +79,6 @@
 
 namespace coconut {
 
-class Stopwatch;
-class TraceStages;
-
 /// Computes MindistSqPaaToSaxBatch(sax_table, sax[i]) for every i in [0, n)
 /// into `out` (resized), splitting the range across `threads` workers; every
 /// chunk reads the one table the query built.
@@ -187,10 +184,9 @@ struct SimsSearch {
   /// PAA -> SAX -> invSAX -> the index's descent to the query's target
   /// page; `window` receives the sorted entries of the LeafWindow of
   /// `window_pages` pages around it. Leaves the query's PAA and lower-bound
-  /// table in scratch->paa and ->sax_table, and accounts the route stage.
+  /// table in scratch->paa and ->sax_table, and times the route stage.
   static Status Route(const Index& index, const Value* query,
                       size_t window_pages, QueryScratch* scratch,
-                      TraceStages* spans, Stopwatch* stage,
                       EntryRange* window);
 
   /// Lines 12-19 over the sorted entries `range`, whose lower bounds are

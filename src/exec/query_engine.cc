@@ -9,7 +9,7 @@
 #include "src/io/retry.h"
 #include "src/obs/metrics.h"
 #include "src/obs/slow_query_log.h"
-#include "src/obs/trace.h"
+#include "src/obs/stage.h"
 
 namespace coconut {
 
@@ -77,19 +77,6 @@ void FlushQueryTrace(const QueryTrace& t, bool exact) {
   m.merge_ns->Add(t.merge_ns);
 }
 
-/// RAII batch bookkeeping: wall-time histogram + batch counter.
-class BatchScope {
- public:
-  BatchScope() = default;
-  ~BatchScope() {
-    Metrics().batch_ns->Record(watch_.ElapsedNanos());
-    Metrics().batches->Increment();
-  }
-
- private:
-  Stopwatch watch_;
-};
-
 }  // namespace
 
 /// Chunks of cells share a per-chunk scratch; the chunk size keeps a few
@@ -111,7 +98,8 @@ Status QueryEngine::RunBatch(const std::vector<Series>& queries,
     for (const Series& q : queries) bytes += q.size() * sizeof(Value);
     COCONUT_RETURN_IF_ERROR(admission_->Admit(bytes, &ticket));
   }
-  BatchScope batch;
+  Stage batch("query.batch", "query", Metrics().batch_ns);
+  Metrics().batches->Increment();
   results->assign(queries.size(), SearchResult{});
   if (traces != nullptr) traces->assign(queries.size(), QueryTrace{});
   const bool exact = spec.mode == QuerySpec::Mode::kExact;
@@ -163,12 +151,14 @@ Status QueryEngine::RunBatch(const std::vector<Series>& queries,
           // Both clocks start at this cell's dispatch (not batch start):
           // wall for end-to-end latency, thread-CPU for oversubscription-
           // independent per-query cost (see QueryTrace::cpu_ns).
-          TraceSpan span(exact ? "query.exact" : "query.approx", "query");
-          ThreadCpuStopwatch cpu;
-          Stopwatch watch;
-          Status st = cell(c, &cell_results[c], &scratch);
-          trace.total_ns = watch.ElapsedNanos();
-          trace.cpu_ns = cpu.ElapsedNanos();
+          Status st;
+          {
+            Stage stage(exact ? "query.exact" : "query.approx", "query",
+                        nullptr, &trace.total_ns);
+            ThreadCpuStopwatch cpu;
+            st = cell(c, &cell_results[c], &scratch);
+            trace.cpu_ns = cpu.ElapsedNanos();
+          }
           scratch.trace = nullptr;
           if (!st.ok()) {
             MutexLock lock(&error_mu);
@@ -187,15 +177,14 @@ Status QueryEngine::RunBatch(const std::vector<Series>& queries,
       qtrace.MergeFrom(shard_traces[qi * shards + si]);
     }
     ThreadCpuStopwatch merge_cpu;
-    Stopwatch merge_watch;
+    uint64_t merge_ns = 0;
     {
-      TraceSpan merge_span("query.merge", "query");
+      Stage merge("query.merge", "query", nullptr, &merge_ns);
       ShardedStore::MergeShardResults(
           *store_snapshot,
           std::span<const SearchResult>(&shard_results[qi * shards], shards),
           spec.k, &(*results)[qi]);
     }
-    const uint64_t merge_ns = merge_watch.ElapsedNanos();
     qtrace.cpu_ns += merge_cpu.ElapsedNanos();
     qtrace.merge_ns += merge_ns;
     qtrace.total_ns += merge_ns;

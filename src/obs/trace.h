@@ -4,15 +4,16 @@
 // The metric registry (metrics.h) answers "how much / how slow in
 // aggregate"; this tracer answers "what was thread 3 doing between t=41ms
 // and t=58ms, and which thread handed it that work". Every instrumented
-// stage opens a TraceSpan; finished spans land in a per-thread lock-free
-// ring buffer as plain timestamp+duration events, and the rings are drained
-// into Chrome trace-event JSON (loadable in chrome://tracing and Perfetto)
+// stage opens a Stage (stage.h); finished spans land in a per-thread
+// lock-free ring buffer as plain timestamp+duration events, and the rings are
+// drained into Chrome trace-event JSON (loadable in chrome://tracing and
+// Perfetto)
 // either at process exit (COCONUT_TRACE=<path>) or live over a capture
 // window (the admin server's /tracez endpoint).
 //
 // Recording-cost contract (see src/obs/README.md):
-//  * Tracing disabled: a TraceSpan is one relaxed atomic load and a branch
-//    — cheap enough to leave compiled into every stage, always.
+//  * Tracing disabled: a span-only Stage is one relaxed atomic load and a
+//    branch — cheap enough to leave compiled into every stage, always.
 //  * Tracing enabled: one steady_clock read at open, one at close, and six
 //    relaxed atomic stores into the calling thread's own ring. No locks,
 //    no allocation, no cross-thread cache traffic on the hot path.
@@ -143,61 +144,6 @@ class Tracer {
   // One ring per thread, never removed. The registry vector is guarded;
   // the rings' slots themselves are lock-free atomics.
   std::vector<std::shared_ptr<Ring>> rings_ GUARDED_BY(rings_mu_);
-};
-
-/// RAII span: records [construction, destruction) of the current scope into
-/// the default tracer when tracing is on. Name/category must be string
-/// literals.
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* name, const char* cat = "stage")
-      : name_(name),
-        cat_(cat),
-        start_ns_(Tracer::Enabled() ? Tracer::NowNanos() : kInactive) {}
-
-  ~TraceSpan() {
-    if (start_ns_ != kInactive) {
-      Tracer::Default().RecordComplete(name_, cat_, start_ns_,
-                                       Tracer::NowNanos());
-    }
-  }
-
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-
-  bool active() const { return start_ns_ != kInactive; }
-
- private:
-  static constexpr uint64_t kInactive = ~uint64_t{0};
-  const char* name_;
-  const char* cat_;
-  uint64_t start_ns_;
-};
-
-/// Sequential-stage spans on one thread, mirroring the Stopwatch
-/// stage/Restart() idiom the read paths use for QueryTrace fields: each
-/// Mark(name) closes the segment since the previous Mark (or construction)
-/// as a completed span named `name`. Segments after the last Mark are not
-/// recorded.
-class TraceStages {
- public:
-  TraceStages()
-      : active_(Tracer::Enabled()),
-        start_ns_(active_ ? Tracer::NowNanos() : 0) {}
-
-  TraceStages(const TraceStages&) = delete;
-  TraceStages& operator=(const TraceStages&) = delete;
-
-  void Mark(const char* name, const char* cat = "stage") {
-    if (!active_) return;
-    const uint64_t now = Tracer::NowNanos();
-    Tracer::Default().RecordComplete(name, cat, start_ns_, now);
-    start_ns_ = now;
-  }
-
- private:
-  bool active_;
-  uint64_t start_ns_;
 };
 
 }  // namespace coconut

@@ -11,8 +11,7 @@
 #include "src/exec/thread_pool.h"
 #include "src/io/io_stats.h"
 #include "src/io/retry.h"
-#include "src/obs/stage_timer.h"
-#include "src/obs/trace.h"
+#include "src/obs/stage.h"
 #include "src/sort/loser_tree.h"
 #include "src/sort/record_sort.h"
 
@@ -374,22 +373,20 @@ Status ExternalSorter::SortAndWriteRun(const std::vector<uint8_t>& records,
   IoComponentScope io_scope("sort");
   IoDeadlineScope io_deadline(options_.context);
 
-  TraceStages sort_spans;
-  Stopwatch sort_watch;
-  RecordSortSpec spec;
-  spec.base = records.data();
-  spec.record_bytes = options_.record_bytes;
-  spec.key_bytes = options_.key_bytes;
-  spec.count = count;
-  spec.use_radix = options_.use_radix;
-  spec.pool = pool_;
   std::vector<uint32_t> order;
-  StableSortRecords(spec, &order);
-  run_gen_ns->Record(sort_watch.ElapsedNanos());
-  sort_spans.Mark("sort.run_gen", "sort");
+  {
+    Stage run_gen("sort.run_gen", "sort", run_gen_ns);
+    RecordSortSpec spec;
+    spec.base = records.data();
+    spec.record_bytes = options_.record_bytes;
+    spec.key_bytes = options_.key_bytes;
+    spec.count = count;
+    spec.use_radix = options_.use_radix;
+    spec.pool = pool_;
+    StableSortRecords(spec, &order);
+  }
 
-  ScopedTimer write_timer(spill_write_ns);
-  TraceSpan spill_span("sort.spill_write", "sort");
+  Stage spill_write("sort.spill_write", "sort", spill_write_ns);
   BufferedWriter writer;
   if (pool_ != nullptr) writer.EnableAsyncFlush(pool_);
   COCONUT_RETURN_IF_ERROR(writer.Open(path));
@@ -408,8 +405,7 @@ Status ExternalSorter::MergeGroup(const std::vector<std::string>& inputs,
                                   size_t input_buffer_bytes) {
   static Histogram* merge_ns =
       MetricRegistry::Default().GetHistogram("sort.merge_ns");
-  ScopedTimer merge_timer(merge_ns);
-  TraceSpan merge_span("sort.merge", "sort");
+  Stage merge("sort.merge", "sort", merge_ns);
   IoComponentScope io_scope("sort");
   IoDeadlineScope io_deadline(options_.context);
   // Merge boundary: a group merge is all-or-nothing, so poll before
@@ -436,8 +432,7 @@ Status ExternalSorter::PartitionedFinalMerge(
     std::unique_ptr<SortedRecordStream>* out) {
   static Histogram* merge_ns =
       MetricRegistry::Default().GetHistogram("sort.merge_ns");
-  ScopedTimer merge_timer(merge_ns);
-  TraceSpan merge_span("sort.final_merge", "sort");
+  Stage merge("sort.final_merge", "sort", merge_ns);
   IoComponentScope io_scope("sort");
   const size_t record_bytes = options_.record_bytes;
   const size_t key_bytes = options_.key_bytes;

@@ -1,7 +1,7 @@
 #include "src/store/sharded_store.h"
 
 #include <algorithm>
-#include <future>
+#include <numeric>
 #include <utility>
 
 #include "src/common/env.h"
@@ -10,13 +10,19 @@
 #include "src/io/io_stats.h"
 #include "src/io/retry.h"
 #include "src/obs/metrics.h"
-#include "src/obs/stage_timer.h"
-#include "src/obs/trace.h"
+#include "src/obs/stage.h"
 #include "src/summary/invsax.h"
 
 namespace coconut {
 
 namespace {
+
+/// 0 .. n-1: every shard, for the maintenance passes over the whole store.
+std::vector<size_t> ShardIds(size_t n) {
+  std::vector<size_t> ids(n);
+  std::iota(ids.begin(), ids.end(), size_t{0});
+  return ids;
+}
 
 /// Builds a ZKey from four big-endian 64-bit words (most significant first).
 ZKey KeyFromWords(const uint64_t words[ZKey::kWords]) {
@@ -443,9 +449,7 @@ Status ShardedStore::CommitCrossShardLocked(
       MetricRegistry::Default().GetHistogram("store.commit.publish_ns");
   static Counter* epochs =
       MetricRegistry::Default().GetCounter("store.commit.epochs");
-  ScopedTimer epoch_timer(epoch_ns);
-  TraceSpan epoch_span("store.commit.epoch", "store");
-  TraceStages commit_spans;
+  Stage epoch_stage("store.commit.epoch", "store", epoch_ns);
 
   std::vector<size_t> touched;
   for (size_t i = 0; i < buckets.size(); ++i) {
@@ -473,9 +477,7 @@ Status ShardedStore::CommitCrossShardLocked(
       Poison(Failpoints::Default().Hit("store.commit.after_begin")));
 
   // 2. Stage every sub-batch concurrently: durable raw appends plus
-  //    run/memtable preparation, with nothing published yet. The calling
-  //    thread stages the first shard itself (caller participation keeps a
-  //    saturated pool from stalling the write).
+  //    run/memtable preparation, with nothing published yet.
   std::vector<CoconutForest::StagedBatch> staged(buckets.size());
   std::vector<Status> stage_status(buckets.size());
   const Context* stage_ctx =
@@ -486,7 +488,7 @@ Status ShardedStore::CommitCrossShardLocked(
     // separately in src/store/journal.cc.
     IoComponentScope io_scope("commit");
     IoDeadlineScope io_deadline(stage_ctx);
-    TraceSpan stage_span("store.shard_stage", "store");
+    Stage shard_stage("store.shard_stage", "store");
     // A deadline firing here fails this shard's stage exactly like an
     // injected stage error: the epoch tears, the store poisons, and reopen
     // rolls every staged slice back — nothing is ever published.
@@ -495,18 +497,12 @@ Status ShardedStore::CommitCrossShardLocked(
         Failpoints::Default().Hit("store.commit.shard_stage", i));
     return shards_[i]->StageBatch(buckets[i], &staged[i]);
   };
-  Stopwatch stage_watch;
-  std::vector<std::future<Status>> pending;
-  for (size_t t = 1; t < touched.size(); ++t) {
-    const size_t i = touched[t];
-    pending.push_back(pool_->Async([&stage_one, i]() { return stage_one(i); }));
+  {
+    Stage stage("store.commit.stage", "store", stage_ns);
+    (void)ForEachShardParallel(touched, [&](size_t i) {
+      return stage_status[i] = stage_one(i);
+    });
   }
-  stage_status[touched[0]] = stage_one(touched[0]);
-  for (size_t t = 1; t < touched.size(); ++t) {
-    stage_status[touched[t]] = pending[t - 1].get();
-  }
-  stage_ns->Record(stage_watch.ElapsedNanos());
-  commit_spans.Mark("store.commit.stage", "store");
   std::string failed;
   bool ctx_deadline = false;
   bool ctx_cancel = false;
@@ -560,8 +556,7 @@ Status ShardedStore::CommitCrossShardLocked(
   //    unpublished — journal-committed, so reopen recovers it, exactly the
   //    kAfterJournalCommit crash shape.
   {
-    ScopedTimer publish_timer(publish_ns);
-    TraceSpan publish_span("store.commit.publish", "store");
+    Stage publish("store.commit.publish", "store", publish_ns);
     WriterLock visibility_lock(&visibility_mu_);
     for (size_t i : touched) {
       if (!shards_[i]->StagedFits(staged[i])) {
@@ -587,14 +582,8 @@ Status ShardedStore::CommitCrossShardLocked(
   //    just leaves extra runs (slower queries, nothing lost); the error
   //    resurfaces from the next explicit CompactAll/Flush or the next
   //    trigger on that shard.
-  std::vector<std::future<Status>> compactions;
-  for (size_t t = 1; t < touched.size(); ++t) {
-    const size_t i = touched[t];
-    compactions.push_back(
-        pool_->Async([this, i]() { return shards_[i]->CompactIfNeeded(); }));
-  }
-  (void)shards_[touched[0]]->CompactIfNeeded();
-  for (auto& f : compactions) (void)f.get();
+  (void)ForEachShardParallel(
+      touched, [this](size_t i) { return shards_[i]->CompactIfNeeded(); });
 
   // Size-triggered journal checkpoint: once the journal outgrows the
   // configured bound, re-commit the manifest (which durably records the
@@ -609,18 +598,17 @@ Status ShardedStore::CommitCrossShardLocked(
 }
 
 Status ShardedStore::ForEachShardParallel(
+    const std::vector<size_t>& shards,
     const std::function<Status(size_t)>& fn) const {
-  std::vector<std::future<Status>> pending;
-  pending.reserve(shards_.size());
-  for (size_t i = 1; i < shards_.size(); ++i) {
-    pending.push_back(pool_->Async([&fn, i]() { return fn(i); }));
-  }
-  Status first_error = fn(0);  // caller participates with shard 0
-  for (auto& f : pending) {
-    const Status st = f.get();
-    if (first_error.ok() && !st.ok()) first_error = st;
-  }
-  return first_error;
+  std::vector<Status> status(shards.size());
+  pool_->ParallelFor(0, shards.size(), /*grain=*/1,
+                     [&](uint64_t lo, uint64_t hi) {
+                       for (uint64_t t = lo; t < hi; ++t) {
+                         status[t] = fn(shards[t]);
+                       }
+                     });
+  for (const Status& st : status) COCONUT_RETURN_IF_ERROR(st);
+  return Status::OK();
 }
 
 Status ShardedStore::CommitManifestLocked() {
@@ -654,18 +642,18 @@ Status ShardedStore::CommitManifestLocked() {
 Status ShardedStore::Flush(const Context& ctx) {
   static Histogram* flush_ns =
       MetricRegistry::Default().GetHistogram("store.flush_ns");
-  ScopedTimer flush_timer(flush_ns);
-  TraceSpan flush_span("store.flush", "store");
+  Stage flush("store.flush", "store", flush_ns);
   MutexLock commit_lock(&commit_mu_);
   COCONUT_RETURN_IF_ERROR(PoisonStatus());
   COCONUT_RETURN_IF_ERROR(QuarantineWriteCheck());
   // Per-shard deadline poll: a shard flush is independently crash-
   // consistent, so giving up between shards is safe (the skipped shards
   // just keep their memtables).
-  COCONUT_RETURN_IF_ERROR(ForEachShardParallel([this, &ctx](size_t i) {
-    COCONUT_RETURN_IF_ERROR(ctx.Check("store.flush.shard"));
-    return shards_[i]->Flush();
-  }));
+  COCONUT_RETURN_IF_ERROR(
+      ForEachShardParallel(ShardIds(shards_.size()), [&](size_t i) {
+        COCONUT_RETURN_IF_ERROR(ctx.Check("store.flush.shard"));
+        return shards_[i]->Flush();
+      }));
   return CommitManifestLocked();
 }
 
@@ -680,10 +668,11 @@ Status ShardedStore::CompactAll(const Context& ctx) {
   // Per-shard deadline poll, same contract as Flush: per-shard compactions
   // are independent, so a deadline abort leaves some shards compacted and
   // the rest untouched — never a half-compacted shard.
-  COCONUT_RETURN_IF_ERROR(ForEachShardParallel([this, &ctx](size_t i) {
-    COCONUT_RETURN_IF_ERROR(ctx.Check("store.compact.shard"));
-    return shards_[i]->CompactAll();
-  }));
+  COCONUT_RETURN_IF_ERROR(
+      ForEachShardParallel(ShardIds(shards_.size()), [&](size_t i) {
+        COCONUT_RETURN_IF_ERROR(ctx.Check("store.compact.shard"));
+        return shards_[i]->CompactAll();
+      }));
   return CommitManifestLocked();
 }
 

@@ -284,10 +284,12 @@ class ShardedStore {
  private:
   ShardedStore() = default;
 
-  /// Runs `fn(shard)` for every shard concurrently on the pool (the caller
-  /// executes one shard itself) and returns the first failure.
-  Status ForEachShardParallel(
-      const std::function<Status(size_t)>& fn) const;
+  /// Runs `fn(shard)` for each of `shards` concurrently through the pool's
+  /// ParallelFor: the caller runs every shard no idle worker has claimed,
+  /// so it waits only on shards a worker is already running, never on
+  /// queued work. Returns the first failure in `shards` order.
+  Status ForEachShardParallel(const std::vector<size_t>& shards,
+                              const std::function<Status(size_t)>& fn) const;
   /// ShardForKey's binary search; the caller holds the lock that keeps the
   /// boundaries still.
   size_t ShardForKeyLocked(const ZKey& key) const REQUIRES(commit_mu_);

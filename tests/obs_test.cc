@@ -17,7 +17,6 @@
 #include "src/exec/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/obs/query_trace.h"
-#include "src/obs/stage_timer.h"
 #include "tests/test_util.h"
 
 namespace coconut {
@@ -258,21 +257,6 @@ TEST(MetricRegistry, PrometheusBucketsStayCumulativeAcrossOctaves) {
   EXPECT_EQ(inf, 5u);
   EXPECT_EQ(last, inf);  // +Inf is last and equals _count
   EXPECT_NE(prom.find("coconut_wide_lat_ns_count 5"), std::string::npos);
-}
-
-// --- Timers ---
-
-TEST(ScopedTimer, RecordsElapsedIntoHistogram) {
-  Histogram h;
-  {
-    ScopedTimer t(&h);
-  }
-  EXPECT_EQ(h.Snapshot().count, 1u);
-  {
-    ScopedTimer t(nullptr);  // null sink is a no-op, not a crash
-  }
-  Stopwatch w;
-  EXPECT_GE(w.ElapsedNanos() + 1, 1u);  // monotone, non-crashing
 }
 
 // --- QueryEngine integration: a real batch populates traces + registry ---

@@ -23,6 +23,7 @@
 #include "src/core/coconut_forest.h"
 #include "src/exec/query_engine.h"
 #include "src/obs/metrics.h"
+#include "src/obs/trace.h"
 #include "src/store/journal.h"
 #include "src/store/manifest.h"
 #include "src/summary/invsax.h"
@@ -661,6 +662,40 @@ TEST(ShardedStore, WriteHealthRespondsDuringInFlightCommit) {
   writer.join();
   EXPECT_OK(store->WriteHealth());
   EXPECT_EQ(store->num_entries(), batch.size());
+}
+
+TEST(ShardedStore, CommitStageSpanMatchesItsHistogram) {
+  // The store.commit.stage span and the store.commit.stage_ns histogram
+  // name one interval, the shard fan-out; the span used to open with the
+  // epoch and so also covered the journal's begin record.
+  ScratchDir dir;
+  std::unique_ptr<ShardedStore> store;
+  ASSERT_OK(ShardedStore::Open(dir.File("store"), SmallStore(dir, 4), &store));
+  const std::vector<Series> batch = MakeSeries(120, 4300);
+  // 120 series is below the 4-shard boundary floor: the even split stays.
+  std::map<size_t, size_t> owners;
+  for (const Series& s : batch) ++owners[store->ShardForSeries(s)];
+  ASSERT_GT(owners.size(), 1u);
+
+  Histogram* stage_ns =
+      MetricRegistry::Default().GetHistogram("store.commit.stage_ns");
+  const HistogramSnapshot before = stage_ns->Snapshot();
+  Tracer& tracer = Tracer::Default();
+  const uint64_t t0 = Tracer::NowNanos();
+  tracer.Start();
+  ASSERT_OK(store->InsertBatch(batch));
+  tracer.Stop();
+  const HistogramSnapshot delta = stage_ns->Snapshot().Delta(before);
+
+  std::vector<TraceEvent> spans;
+  for (const TraceEvent& e : tracer.DrainEvents(t0)) {
+    if (e.phase == 'X' && std::string(e.name) == "store.commit.stage") {
+      spans.push_back(e);
+    }
+  }
+  ASSERT_EQ(spans.size(), 1u);
+  ASSERT_EQ(delta.count, 1u);
+  EXPECT_EQ(spans[0].dur_ns, delta.sum);
 }
 
 TEST(ShardedStoreRecovery, JournalTornTailIgnoredInteriorCorruptionRejected) {

@@ -1,10 +1,12 @@
 // Span tracer (src/obs/trace.h): flight-recorder ring wraparound, drain
-// windowing, disabled-path inertness, Chrome trace-event JSON shape, and
-// ThreadPool flow-event pairing across real worker threads (a
+// windowing, Chrome trace-event JSON shape, the Stage sinks (src/obs/stage.h:
+// one duration to histogram, trace field and span; no clock read when
+// inert), and ThreadPool flow-event pairing across real worker threads (a
 // ThreadSanitizer target, see .github/workflows/ci.yml).
 #include "src/obs/trace.h"
 
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <set>
 #include <string>
@@ -13,13 +15,14 @@
 
 #include "gtest/gtest.h"
 #include "src/exec/thread_pool.h"
+#include "src/obs/stage.h"
 
 namespace coconut {
 namespace {
 
 // --- Ring semantics (private Tracer instances; Record* writes land in the
 // calling thread's ring regardless of the enabled flag, which only gates
-// the TraceSpan/TraceStages call sites) ---
+// the Stage call sites) ---
 
 TEST(Tracer, RingWrapsKeepingTheLatestEvents) {
   Tracer tracer(16);  // capacity is already a power of two
@@ -108,34 +111,63 @@ TEST(Tracer, JsonIsChromeTraceEventFormat) {
   EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
 }
 
-// --- Disabled path ---
+// --- Stage: one clock pair per scope, written to every sink ---
 
-TEST(TraceSpan, InertWhileTracingDisabled) {
-  Tracer::Default().Stop();
-  TraceSpan span("should.not.record", "test");
-  EXPECT_FALSE(span.active());
+/// The spans named `name` that the default tracer recorded since `t0`.
+std::vector<TraceEvent> SpansNamed(const char* name, uint64_t t0) {
+  std::vector<TraceEvent> out;
+  for (const TraceEvent& e : Tracer::Default().DrainEvents(t0)) {
+    if (e.phase == 'X' && std::string(e.name) == name) out.push_back(e);
+  }
+  return out;
 }
 
-TEST(TraceStages, MarksRecordContiguousSegments) {
+TEST(Stage, TracedStageWritesOneDurationToEverySink) {
   Tracer& tracer = Tracer::Default();
+  Histogram hist;
+  uint64_t field = 7;  // a stage adds to the field, it does not overwrite
   const uint64_t t0 = Tracer::NowNanos();
   tracer.Start();
   {
-    TraceStages stages;
-    stages.Mark("stage.one", "test");
-    stages.Mark("stage.two", "test");
+    Stage stage("stage.all_sinks", "test", &hist, &field);
+    EXPECT_TRUE(stage.timed());
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
   tracer.Stop();
-  const std::vector<TraceEvent> events = tracer.DrainEvents(t0);
-  std::vector<TraceEvent> stages;
-  for (const TraceEvent& e : events) {
-    if (std::string(e.name).rfind("stage.", 0) == 0) stages.push_back(e);
+  const std::vector<TraceEvent> spans = SpansNamed("stage.all_sinks", t0);
+  ASSERT_EQ(spans.size(), 1u);
+  const HistogramSnapshot snap = hist.Snapshot();
+  ASSERT_EQ(snap.count, 1u);
+  EXPECT_GT(spans[0].dur_ns, 0u);
+  EXPECT_EQ(snap.sum, spans[0].dur_ns);
+  EXPECT_EQ(field - 7, spans[0].dur_ns);
+}
+
+TEST(Stage, UntracedStageStillFeedsHistogramAndField) {
+  Tracer::Default().Stop();
+  Histogram hist;
+  uint64_t field = 0;
+  const uint64_t t0 = Tracer::NowNanos();
+  {
+    Stage stage("stage.untraced", "test", &hist, &field);
+    EXPECT_TRUE(stage.timed());
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
-  ASSERT_EQ(stages.size(), 2u);
-  EXPECT_STREQ(stages[0].name, "stage.one");
-  EXPECT_STREQ(stages[1].name, "stage.two");
-  // Second segment starts exactly where the first ended.
-  EXPECT_EQ(stages[1].ts_ns, stages[0].ts_ns + stages[0].dur_ns);
+  const HistogramSnapshot snap = hist.Snapshot();
+  ASSERT_EQ(snap.count, 1u);
+  EXPECT_GT(field, 0u);
+  EXPECT_EQ(snap.sum, field);
+  EXPECT_TRUE(SpansNamed("stage.untraced", t0).empty());
+}
+
+TEST(Stage, NoSinksAndTracingOffReadsNoClock) {
+  Tracer::Default().Stop();
+  const uint64_t t0 = Tracer::NowNanos();
+  {
+    Stage stage("stage.inert", "test");
+    EXPECT_FALSE(stage.timed());
+  }
+  EXPECT_TRUE(SpansNamed("stage.inert", t0).empty());
 }
 
 // --- ThreadPool flow events across real threads ---

@@ -14,6 +14,11 @@ Rules (see docs/CONCURRENCY.md and src/obs/README.md):
   metric-name   Metric names are lowercase dotted paths; histograms carry a
                 `_ns` suffix unless allowlisted as dimensionless.
   include-guard Headers use COCONUT_<PATH>_H_ guards.
+  stage-timer   Outside src/obs/, a histogram is never fed by hand from a
+                stopwatch (`->Record(watch.ElapsedNanos())`): open a Stage
+                (src/obs/stage.h) on it instead, so the stage's histogram,
+                span and QueryTrace field share one clock pair and one
+                measured interval.
 
 A finding on one specific line can be suppressed with a trailing comment:
 
@@ -58,6 +63,7 @@ RAW_THREAD_RE = re.compile(r"std::thread\b(?!::)")
 METRIC_CALL_RE = re.compile(
     r"Get(Counter|Gauge|Histogram)\(\s*\"([^\"]+)\"")
 METRIC_NAME_RE = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$")
+STAGE_TIMER_RE = re.compile(r"(->|\.)Record\(\s*[\w.>-]*\.ElapsedNanos\(\)")
 ALLOW_RE = re.compile(r"coconut-lint:\s*allow\(([a-z-]+)\)")
 
 
@@ -117,6 +123,7 @@ def check_file(path, findings):
 
     in_common = relpath.startswith("src/common/")
     in_exec = relpath.startswith("src/exec/")
+    in_obs = relpath.startswith("src/obs/")
 
     pending_allow = set()
     for lineno, raw in enumerate(lines, start=1):
@@ -145,6 +152,12 @@ def check_file(path, findings):
                      "std::thread outside src/common/ and src/exec/; use "
                      "ThreadPool, or justify with "
                      "// coconut-lint: allow(raw-thread)"))
+        if (not in_obs and "stage-timer" not in allow
+                and STAGE_TIMER_RE.search(code)):
+            findings.append(
+                (relpath, lineno, "stage-timer",
+                 "histogram fed by hand from a stopwatch; open a Stage "
+                 "(src/obs/stage.h) on it instead"))
         for m in METRIC_CALL_RE.finditer(raw):
             kind, name = m.group(1), m.group(2)
             if "metric-name" in allow:
