@@ -9,9 +9,9 @@
 // Set COCONUT_BENCH_JSON=<path> to also write the measurements as a JSON
 // array (one object per row) for trajectory tracking in CI; the in-repo
 // baseline lives at BENCH_query_engine.json (repo root). `rate_per_s` is
-// queries/s for the query sections and series/s for store_ingest (whose
-// 1-shard row is the journal-free single-shard fast path) and tree_build
-// (bottom-up construction at 1/2/4 sort threads).
+// queries/s for the query sections and series/s for store_ingest (every
+// row, 1 shard included, commits each batch as one journaled epoch) and
+// tree_build (bottom-up construction at 1/2/4 sort threads).
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
@@ -190,8 +190,7 @@ void Run() {
   }
 
   // Shard-count sweep: the same data in a ShardedStore with 1/2/4 shards,
-  // ingested in batches (the 1-shard row is the journal-free single-shard
-  // fast path; multi-shard rows pay the epoch commit protocol), then
+  // ingested in batches (every row pays the epoch commit protocol), then
   // queried through the store-aware engine path (query x shard fan-out).
   std::printf("\n-- sharded store: batch ingest (2048-series batches) --\n");
   PrintHeader({"shards", "ingest_time", "series/s"});

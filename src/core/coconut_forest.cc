@@ -205,43 +205,66 @@ Status CoconutForest::Open(const std::string& raw_path,
   return Status::OK();
 }
 
-Status CoconutForest::Insert(const Series& series) {
-  return InsertBatch({series});
-}
-
-Status CoconutForest::InsertBatch(const std::vector<Series>& batch) {
+Status CoconutForest::AppendWriterLocked(const std::vector<Series>& batch,
+                                         uint64_t* first_offset) {
+  // A failed append may leave orphaned bytes past raw_bytes_ in either
+  // file; a later append would land behind them while its entries and CRCs
+  // assumed raw_bytes_, so every append after the first failure is refused.
+  COCONUT_RETURN_IF_ERROR(append_status_);
   const size_t n = options_.tree.summary.series_length;
   for (const Series& s : batch) {
     if (s.size() != n) {
       return Status::InvalidArgument("series length mismatch");
     }
   }
-  MutexLock writer_lock(&writer_mu_);
-  COCONUT_RETURN_IF_ERROR(AppendToDataset(raw_path_, batch));
-  COCONUT_RETURN_IF_ERROR(AppendRawCrcs(raw_path_, batch));
-  // The whole batch is on disk now; advance raw_bytes_ up front so it can
-  // never desync from the file even if a flush below fails mid-batch (the
-  // un-published tail is then orphaned bytes, not mis-addressed entries).
-  uint64_t offset = raw_bytes_;
+  Status st = AppendToDataset(raw_path_, batch);
+  if (st.ok()) st = AppendRawCrcs(raw_path_, batch);
+  if (!st.ok()) {
+    append_status_ =
+        st.WithPrefix("raw append failed, no append until reopened: ");
+    return append_status_;
+  }
+  *first_offset = raw_bytes_;
   raw_bytes_ += batch.size() * n * sizeof(Value);
-  for (const Series& s : batch) {
-    if (MemtableCountWriterLocked() >= options_.memtable_series) {
+  return Status::OK();
+}
+
+void CoconutForest::PushWriterLocked(std::span<MemEntry> entries) {
+  // The vector never reallocates (capacity is reserved up to
+  // memtable_series, and callers push only what fits), so snapshot holders
+  // reading entries below the published count are unaffected.
+  StateWriteLock state_lock(this);
+  for (MemEntry& e : entries) memtable_->push_back(std::move(e));
+  memtable_count_ += entries.size();
+}
+
+Status CoconutForest::InsertBatch(const std::vector<Series>& batch) {
+  MutexLock writer_lock(&writer_mu_);
+  uint64_t offset = 0;
+  COCONUT_RETURN_IF_ERROR(AppendWriterLocked(batch, &offset));
+  // The whole batch is on disk and raw_bytes_ has advanced, so a flush
+  // failing below leaves the un-published tail as orphaned bytes, not
+  // mis-addressed entries.
+  const uint64_t series_bytes =
+      options_.tree.summary.series_length * sizeof(Value);
+  const size_t cap = options_.memtable_series;
+  std::vector<MemEntry> chunk;
+  for (size_t i = 0; i < batch.size();) {
+    if (MemtableCountWriterLocked() >= cap) {
       // Reachable when an earlier flush failed, or when a staged publish
-      // filled the memtable exactly to capacity: the flush must succeed
-      // before another push_back, or the vector would reallocate under
-      // lock-free snapshot readers.
+      // filled the memtable exactly to capacity.
       COCONUT_RETURN_IF_ERROR(FlushWriterLocked());
     }
-    {
-      // Publish the entry: the vector never reallocates (capacity is
-      // reserved up to memtable_series, the flush threshold), so snapshot
-      // holders reading entries below the published count are unaffected.
-      StateWriteLock state_lock(this);
-      memtable_->push_back(MemEntry{s, offset});
-      ++memtable_count_;
+    const size_t take =
+        std::min(batch.size() - i, cap - MemtableCountWriterLocked());
+    chunk.clear();
+    for (size_t j = i; j < i + take; ++j) {
+      chunk.push_back(MemEntry{batch[j], offset});
+      offset += series_bytes;
     }
-    offset += n * sizeof(Value);
-    if (MemtableCountWriterLocked() >= options_.memtable_series) {
+    PushWriterLocked(chunk);
+    i += take;
+    if (MemtableCountWriterLocked() >= cap) {
       COCONUT_RETURN_IF_ERROR(FlushWriterLocked());
     }
   }
@@ -253,31 +276,23 @@ Status CoconutForest::InsertBatch(const std::vector<Series>& batch) {
 
 Status CoconutForest::StageBatch(const std::vector<Series>& batch,
                                  StagedBatch* out) {
-  const size_t n = options_.tree.summary.series_length;
-  for (const Series& s : batch) {
-    if (s.size() != n) {
-      return Status::InvalidArgument("series length mismatch");
-    }
-  }
   if (batch.empty()) return Status::InvalidArgument("empty staged batch");
   MutexLock writer_lock(&writer_mu_);
-  out->pre_raw_bytes = raw_bytes_;
-  out->raw_bytes = batch.size() * n * sizeof(Value);
-  COCONUT_RETURN_IF_ERROR(AppendToDataset(raw_path_, batch));
-  COCONUT_RETURN_IF_ERROR(AppendRawCrcs(raw_path_, batch));
-  uint64_t offset = raw_bytes_;
-  raw_bytes_ += out->raw_bytes;
+  uint64_t offset = 0;
+  COCONUT_RETURN_IF_ERROR(AppendWriterLocked(batch, &offset));
+  const uint64_t series_bytes =
+      options_.tree.summary.series_length * sizeof(Value);
+  std::vector<MemEntry> entries;
+  entries.reserve(batch.size());
+  for (const Series& s : batch) {
+    entries.push_back(MemEntry{s, offset});
+    offset += series_bytes;
+  }
   if (batch.size() > options_.memtable_series) {
     // The slice cannot fit even an empty memtable: pre-build it as its own
     // sorted run now, in stage phase, so publication is an O(1) run-set
     // push instead of an impossible sequence of flushes under the store's
     // visibility lock.
-    std::vector<MemEntry> entries;
-    entries.reserve(batch.size());
-    for (const Series& s : batch) {
-      entries.push_back(MemEntry{s, offset});
-      offset += n * sizeof(Value);
-    }
     std::unique_ptr<CoconutTree> run;
     COCONUT_RETURN_IF_ERROR(
         BuildRunWriterLocked(entries, entries.size(), &run));
@@ -288,41 +303,36 @@ Status CoconutForest::StageBatch(const std::vector<Series>& batch,
     // Make room now so PublishStaged never has to flush.
     COCONUT_RETURN_IF_ERROR(FlushWriterLocked());
   }
-  out->entries.reserve(batch.size());
-  for (const Series& s : batch) {
-    out->entries.push_back(MemEntry{s, offset});
-    offset += n * sizeof(Value);
-  }
+  out->entries = std::move(entries);
   return Status::OK();
 }
 
+bool CoconutForest::StagedFitsWriterLocked(const StagedBatch& staged) const {
+  return staged.run != nullptr ||  // run install is always O(1)
+         MemtableCountWriterLocked() + staged.entries.size() <=
+             options_.memtable_series;
+}
+
 bool CoconutForest::StagedFits(const StagedBatch& staged) const {
-  if (staged.run != nullptr) return true;  // run install is always O(1)
   MutexLock writer_lock(&writer_mu_);
-  return MemtableCountWriterLocked() + staged.entries.size() <=
-         options_.memtable_series;
+  return StagedFitsWriterLocked(staged);
 }
 
 Status CoconutForest::PublishStaged(StagedBatch&& staged) {
   MutexLock writer_lock(&writer_mu_);
-  if (staged.run == nullptr &&
-      MemtableCountWriterLocked() + staged.entries.size() >
-          options_.memtable_series) {
+  if (!StagedFitsWriterLocked(staged)) {
     // Impossible under the store's commit lock (StageBatch made room, no
     // writer ran in between, and the store re-checked StagedFits);
     // publishing anyway would reallocate the memtable under lock-free
     // snapshot readers.
     return Status::Internal("staged batch no longer fits the memtable");
   }
-  StateWriteLock state_lock(this);
-  if (staged.run != nullptr) {
-    runs_.push_back(std::move(staged.run));
-  } else {
-    for (MemEntry& e : staged.entries) {
-      memtable_->push_back(std::move(e));
-      ++memtable_count_;
-    }
+  if (staged.run == nullptr) {
+    PushWriterLocked(staged.entries);
+    return Status::OK();
   }
+  StateWriteLock state_lock(this);
+  runs_.push_back(std::move(staged.run));
   return Status::OK();
 }
 

@@ -18,7 +18,7 @@
 // the global top-k.
 //
 // Concurrency model (snapshot isolation):
-//  * Writers (Insert/InsertBatch/Flush/CompactAll) are serialized by an
+//  * Writers (InsertBatch/StageBatch/Flush/CompactAll) are serialized by an
 //    internal writer mutex. Expensive work — run bulk-loads, compaction
 //    merges — happens outside any reader-visible lock.
 //  * Readers grab a Snapshot under a shared_mutex held only long enough to
@@ -41,6 +41,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -104,15 +105,15 @@ class CoconutForest {
                      const ForestOptions& options,
                      std::unique_ptr<CoconutForest>* out);
 
-  /// Appends one series to the raw file and the memtable; may flush a run
+  /// Appends `batch` to the raw file and the memtable; may flush runs
   /// and/or trigger compaction. Writers are serialized internally and do
-  /// not block concurrent readers.
-  Status Insert(const Series& series);
-
-  /// Batch variant of Insert.
+  /// not block concurrent readers. The first failed raw append latches:
+  /// this and every later InsertBatch or StageBatch returns it until the
+  /// forest is reopened (the failed append may have left orphaned bytes
+  /// that later offsets would not account for).
   Status InsertBatch(const std::vector<Series>& batch);
 
-  /// One shard's half of the store's two-phase cross-shard epoch commit
+  /// One shard's half of the store's two-phase epoch commit
   /// (see src/store/README.md). StageBatch makes the sub-batch durable and
   /// query-ready; PublishStaged flips it visible. Between the two calls the
   /// staged entries are invisible to every snapshot, so the store can
@@ -124,17 +125,14 @@ class CoconutForest {
     /// ...slices larger than the memtable are pre-built as a run here in
     /// stage phase (publication is then an O(1) run-set push).
     std::shared_ptr<const CoconutTree> run;
-    /// Raw-file byte range the staged append occupies (the store records
-    /// pre_raw_bytes in the epoch journal for torn-batch rollback).
-    uint64_t pre_raw_bytes = 0;
-    uint64_t raw_bytes = 0;
   };
 
   /// Phase 1: appends `batch` to the raw file and prepares (but does NOT
   /// publish) the staged entries. The caller must guarantee no other writer
   /// touches this forest between StageBatch and PublishStaged (the store's
   /// commit lock does). On failure the raw tail may hold orphaned bytes;
-  /// the store's epoch journal rolls them back at the next open.
+  /// the store's epoch journal rolls them back at the next open. Shares
+  /// InsertBatch's append step, and with it the append-failure latch.
   Status StageBatch(const std::vector<Series>& batch, StagedBatch* out);
 
   /// True iff PublishStaged can apply `staged` without flushing (the
@@ -201,6 +199,18 @@ class CoconutForest {
  private:
   CoconutForest() = default;
 
+  /// The one append step of InsertBatch and StageBatch: checks the series
+  /// lengths, appends the raw bytes and their sidecar CRCs, advances
+  /// raw_bytes_ and reports the batch's first raw offset. Latches its first
+  /// I/O failure in append_status_.
+  Status AppendWriterLocked(const std::vector<Series>& batch,
+                            uint64_t* first_offset) REQUIRES(writer_mu_);
+  /// The one publish step of InsertBatch and PublishStaged: moves
+  /// `entries` into the memtable under one exclusive state_mu_ acquisition.
+  /// The caller guarantees they fit.
+  void PushWriterLocked(std::span<MemEntry> entries) REQUIRES(writer_mu_);
+  bool StagedFitsWriterLocked(const StagedBatch& staged) const
+      REQUIRES(writer_mu_);
   /// Flushes the memtable (the builds happen outside state_mu_; only the
   /// final run/memtable swap takes it exclusively).
   Status FlushWriterLocked() REQUIRES(writer_mu_);
@@ -267,6 +277,8 @@ class CoconutForest {
   mutable Mutex writer_mu_;
   uint64_t next_run_id_ GUARDED_BY(writer_mu_) = 0;
   uint64_t raw_bytes_ GUARDED_BY(writer_mu_) = 0;  // raw file size
+  // First failed raw append; once set, every append returns it.
+  Status append_status_ GUARDED_BY(writer_mu_);
 
   // Reader-visible state, guarded by state_mu_. The memtable vector is
   // created with capacity memtable_series and replaced (never reallocated)

@@ -1,7 +1,7 @@
 // CommitJournal: the store-wide group-commit epoch journal that makes
-// cross-shard batches atomic.
+// every store batch atomic.
 //
-// A cross-shard `ShardedStore::InsertBatch` is stamped with a monotonically
+// Every `ShardedStore::InsertBatch` is stamped with a monotonically
 // increasing *epoch* and recorded here in two steps, the same write-ahead
 // discipline LSM engines use for their MANIFEST/WAL pair:
 //
@@ -15,13 +15,10 @@
 // On reopen, `Scan` replays the journal: any epoch with a `begin` but no
 // `commit` is a *torn batch* — the recovery code truncates each touched
 // shard's raw file back to the recorded pre-append size, restoring exactly
-// the prefix of fully-committed epochs. Single-shard batches never touch
-// the journal — with one shard there is no cross-shard state to tear, and
-// they keep the unsharded forest's WAL semantics (reopen restores a
-// whole-series prefix of the append) — so the hot single-shard ingest
-// path pays nothing. The journal is
-// checkpointed (reset) whenever the manifest durably records the committed
-// epoch floor, bounding its size and the reopen replay.
+// the prefix of fully-committed epochs. A batch that touches one shard is
+// journaled the same way, so it too comes back whole or not at all. The
+// journal is checkpointed (reset) whenever the manifest durably records
+// the committed epoch floor, bounding its size and the reopen replay.
 //
 // Durability scope: "synced" below means the protocol calls Sync at the
 // right barriers; by default that is a no-op and the guarantees hold for

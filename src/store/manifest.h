@@ -67,10 +67,10 @@ struct ShardInfo {
 struct StoreManifest {
   uint64_t version = 1;
   uint64_t series_length = 0;
-  /// Highest cross-shard commit epoch known durable at the last manifest
-  /// commit. A lower bound only: the JOURNAL may record later committed
-  /// epochs; recovery takes the max of both. New epochs always number above
-  /// this even when the journal has been reset.
+  /// Highest commit epoch known durable at the last manifest commit. A
+  /// lower bound only: the JOURNAL may record later committed epochs;
+  /// recovery takes the max of both. New epochs always number above this
+  /// even when the journal has been reset.
   uint64_t last_committed_epoch = 0;
   std::vector<ShardInfo> shards;
 

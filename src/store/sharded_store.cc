@@ -110,10 +110,9 @@ Status ShardedStore::RecoverFromJournal(const std::string& dir,
           "journal: torn epoch overlaps a committed epoch on shard " +
           std::to_string(i));
     }
-    // Roll back the torn epoch's slice, then any torn single-series write
-    // left by a crashed journal-free append (the raw file is a headerless
-    // array of fixed-size series, so a tail that is not a whole series
-    // count is by definition torn).
+    // Roll back the torn epoch's slice, then any tail that is not a whole
+    // series count (the raw file is a headerless array of fixed-size
+    // series, so such a tail is by definition torn).
     uint64_t target = std::min<uint64_t>(size, cut[i]);
     target -= target % series_bytes;
     if (target < committed_floor[i]) {
@@ -374,19 +373,6 @@ Status ShardedStore::WriteHealth() const {
   return QuarantineWriteCheck();
 }
 
-Status ShardedStore::Insert(const Series& series) {
-  if (series.size() != options_.forest.tree.summary.series_length) {
-    return Status::InvalidArgument("series length mismatch");
-  }
-  const ZKey key =
-      InvSaxFromSeries(series.data(), options_.forest.tree.summary);
-  MutexLock commit_lock(&commit_mu_);
-  COCONUT_RETURN_IF_ERROR(PoisonStatus());
-  COCONUT_RETURN_IF_ERROR(QuarantineWriteCheck());
-  const size_t shard = ShardForKeyLocked(key);
-  return TagShard(shard, shards_[shard]->Insert(series));
-}
-
 Status ShardedStore::InsertBatch(const std::vector<Series>& batch,
                                  const Context& ctx) {
   if (batch.empty()) return Status::OK();
@@ -411,33 +397,15 @@ Status ShardedStore::InsertBatch(const std::vector<Series>& batch,
   // deadline here costs the caller nothing but the summarizing above.
   COCONUT_RETURN_IF_ERROR(ctx.Check("store.insert"));
   COCONUT_RETURN_IF_ERROR(TakeBoundariesLocked(keys));
-  std::vector<size_t> owner(batch.size());
-  bool single_shard = true;
-  for (size_t i = 0; i < batch.size(); ++i) {
-    owner[i] = ShardForKeyLocked(keys[i]);
-    if (owner[i] != owner[0]) single_shard = false;
-  }
-  if (single_shard) {
-    // Fast path (always taken by 1-shard stores): the epoch journal is
-    // skipped entirely. Crash semantics are the unsharded forest's
-    // raw-file-as-WAL semantics — reopen restores a whole-series prefix
-    // of the append (never a torn series, but possibly a prefix of a
-    // multi-series batch); there is no cross-shard state to tear.
-    static Counter* single_shard_batches = MetricRegistry::Default().GetCounter(
-        "store.commit.single_shard_batches");
-    single_shard_batches->Increment();
-    return TagShard(owner[0], shards_[owner[0]]->InsertBatch(batch));
-  }
-
   std::vector<std::vector<Series>> buckets(shards_.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    buckets[owner[i]].push_back(batch[i]);
+    buckets[ShardForKeyLocked(keys[i])].push_back(batch[i]);
   }
-  return CommitCrossShardLocked(std::move(buckets), ctx);
+  return CommitLocked(std::move(buckets), ctx);
 }
 
-Status ShardedStore::CommitCrossShardLocked(
-    std::vector<std::vector<Series>> buckets, const Context& ctx) {
+Status ShardedStore::CommitLocked(std::vector<std::vector<Series>> buckets,
+                                  const Context& ctx) {
   // Commit-protocol metrics: whole-epoch latency plus the staged-vs-
   // published breakdown (stage = durable appends, publish = visibility
   // flip under the lock).
@@ -449,6 +417,8 @@ Status ShardedStore::CommitCrossShardLocked(
       MetricRegistry::Default().GetHistogram("store.commit.publish_ns");
   static Counter* epochs =
       MetricRegistry::Default().GetCounter("store.commit.epochs");
+  static Counter* single_shard_epochs = MetricRegistry::Default().GetCounter(
+      "store.commit.single_shard_batches");
   Stage epoch_stage("store.commit.epoch", "store", epoch_ns);
 
   std::vector<size_t> touched;
@@ -520,8 +490,8 @@ Status ShardedStore::CommitCrossShardLocked(
     // the torn tail stays the LAST journaled epoch until recovery runs.
     // A deadline/cancellation abort keeps its code so the caller can tell
     // "your budget ran out" from "the disk failed".
-    const std::string torn_msg = "cross-shard batch torn at epoch " +
-                                 std::to_string(epoch) + ": " + failed;
+    const std::string torn_msg =
+        "batch torn at epoch " + std::to_string(epoch) + ": " + failed;
     if (ctx_deadline) return Poison(Status::DeadlineExceeded(torn_msg));
     if (ctx_cancel) return Poison(Status::Aborted(torn_msg));
     return Poison(Status::IOError(torn_msg));
@@ -533,9 +503,8 @@ Status ShardedStore::CommitCrossShardLocked(
   {
     const Status ctx_st = ctx.Check("store.commit.before_journal_commit");
     if (!ctx_st.ok()) {
-      const std::string msg = "cross-shard batch torn at epoch " +
-                              std::to_string(epoch) + ": " +
-                              ctx_st.ToString();
+      const std::string msg = "batch torn at epoch " +
+                              std::to_string(epoch) + ": " + ctx_st.ToString();
       return Poison(ctx_st.IsAborted() ? Status::Aborted(msg)
                                        : Status::DeadlineExceeded(msg));
     }
@@ -572,6 +541,7 @@ Status ShardedStore::CommitCrossShardLocked(
     committed_epoch_.store(epoch, std::memory_order_release);
   }
   epochs->Increment();
+  if (touched.size() == 1) single_shard_epochs->Increment();
 
   // 5. Deferred maintenance outside the visibility lock: staged
   //    publications skip the forest's automatic compaction trigger, so run
@@ -628,7 +598,7 @@ Status ShardedStore::CommitManifestLocked() {
   // open replays records that are all committed — a no-op. A failed Reset
   // leaves the old journal (and our handle to it) fully intact, so that is
   // a plain error; losing the handle AFTER a successful reset must poison,
-  // or the next multi-shard batch would journal into a null handle.
+  // or the next batch would journal into a null handle.
   COCONUT_RETURN_IF_ERROR(CommitJournal::Reset(dir_));
   journal_.reset();
   const Status reopened = CommitJournal::Open(dir_, &journal_);

@@ -14,23 +14,23 @@
 // fills the shards equally. They are final once any series is stored.
 //
 // Writes route by invSAX key to the owning shard; batch inserts are split
-// per shard and the sub-batches staged concurrently on the shared
-// ThreadPool (the calling thread works one sub-batch itself, so a saturated
-// pool degrades to serial execution, never deadlock). Each shard compacts
-// independently — CompactAll runs the per-shard compactions concurrently,
-// and within one shard the runs-merge is itself chunked over the pool
-// (CoconutForest::MergeRunsParallel) — the two levels of parallel
-// compaction.
+// per shard and the sub-batches staged concurrently through the shared
+// ThreadPool's ParallelFor (the calling thread runs every sub-batch no idle
+// worker has claimed, so a saturated pool degrades to serial execution,
+// never deadlock). Each shard compacts independently — CompactAll runs the
+// per-shard compactions concurrently, and within one shard the runs-merge
+// is itself chunked over the pool (CoconutForest::MergeRunsParallel) — the
+// two levels of parallel compaction.
 //
-// Cross-shard batches are ATOMIC and crash-consistent (the group-commit
-// epoch protocol, see src/store/README.md and journal.h): a multi-shard
-// InsertBatch is stamped with a store-wide epoch, journaled before any
-// shard is touched, staged durably per shard, journal-committed, and only
-// then published — all shards' slices become visible in one step, so a
-// concurrent snapshot never sees half a batch, and a crash at any point
-// reopens to exactly the prefix of fully-committed epochs (torn shard
-// tails are truncated on recovery). Single-shard batches skip the journal
-// entirely: one raw-file append is already atomic on recovery.
+// Every batch is ATOMIC and crash-consistent (the group-commit epoch
+// protocol, see src/store/README.md and journal.h), whether it touches one
+// shard or many: InsertBatch stamps it with a store-wide epoch, journals it
+// before any shard is touched, stages it durably per shard, journal-commits
+// it, and only then publishes it — all its slices become visible in one
+// step, so a concurrent snapshot never sees half a batch, and a crash at
+// any point reopens to exactly the prefix of fully-committed epochs (torn
+// shard tails are truncated on recovery). This is the only way a series
+// enters the store.
 //
 // Queries take a store snapshot (one CoconutForest::Snapshot per shard) and
 // fan out across shards through one per-shard routine (SearchShard, which
@@ -41,7 +41,7 @@
 // exact. A QueryEngine batch takes ONE store snapshot up front, so snapshot
 // isolation holds across the whole store: every query in the batch sees the
 // same point-in-time state on every shard, and only fully-committed
-// cross-shard epochs.
+// epochs.
 //
 // Offsets: each shard has its own raw dataset file, so a neighbor's
 // raw-file offset is only meaningful within its shard. Store-level results
@@ -71,7 +71,7 @@
 
 namespace coconut {
 
-// Fault injection: the cross-shard commit protocol exposes one failpoint
+// Fault injection: the commit protocol exposes one failpoint
 // site per kill point, in protocol order (src/common/failpoint.h; arm with
 // Failpoints::Default().Arm*/ArmCallback or COCONUT_FAILPOINTS):
 //
@@ -98,10 +98,10 @@ struct StoreOptions {
   /// uses the shard count and boundaries pinned in its manifest.
   size_t num_shards = 4;
 
-  /// Size-triggered journal checkpointing: after a cross-shard commit, if
-  /// the JOURNAL has grown past this many bytes the store re-commits the
-  /// manifest (which durably records the committed-epoch floor) and resets
-  /// the journal, bounding both its size and the next open's replay.
+  /// Size-triggered journal checkpointing: after a commit, if the JOURNAL
+  /// has grown past this many bytes the store re-commits the manifest
+  /// (which durably records the committed-epoch floor) and resets the
+  /// journal, bounding both its size and the next open's replay.
   /// 0 disables the trigger (Flush/CompactAll still checkpoint).
   uint64_t journal_checkpoint_bytes = 4u << 20;
 
@@ -128,11 +128,11 @@ class ShardedStore {
   /// A point-in-time view of the whole store: one forest snapshot per
   /// shard, indexed by shard id. Cheap to copy; queries against it never
   /// block, and are never affected by, concurrent writers. Captured under
-  /// the store's visibility lock, so it exposes whole cross-shard epochs
+  /// the store's visibility lock, so it exposes whole epochs
   /// only — never half a batch.
   struct Snapshot {
     std::vector<CoconutForest::Snapshot> shards;
-    /// Last cross-shard epoch committed (and published) at capture time.
+    /// Last epoch committed (and published) at capture time.
     uint64_t epoch = 0;
     /// True when at least one shard was quarantined at capture time: the
     /// snapshot covers only the healthy shards (quarantined entries appear
@@ -166,24 +166,20 @@ class ShardedStore {
   static Status Open(const std::string& dir, const StoreOptions& options,
                      std::unique_ptr<ShardedStore>* out);
 
-  /// Routes one series to its owning shard. Store-level writers are
-  /// serialized by the commit lock.
-  Status Insert(const Series& series);
-
-  /// Splits the batch by invSAX key and stages the per-shard sub-batches
-  /// concurrently on the shared pool. On a store that has never held a
-  /// series, a batch of at least kBoundarySeriesPerShard * num_shards()
-  /// series first sets the boundaries: shard i starts at the batch's key of
-  /// rank floor(i * size / num_shards), and the MANIFEST is rewritten with
-  /// them before the batch is journaled. Tied ranks (bounds not strictly
-  /// increasing) keep the even split. A batch touching a single shard
-  /// (always true for 1-shard stores) takes the journal-free fast path; a
-  /// multi-shard batch commits atomically under the epoch protocol. OK
-  /// means the whole batch is committed and published (deferred
-  /// compaction hiccups never fail a committed batch — they resurface
-  /// from the next Flush/CompactAll); on a torn commit the returned
-  /// Status names every failed shard and the store refuses further writes
-  /// until reopened (recovery rolls the torn epoch back).
+  /// Splits the batch by invSAX key and commits it as one epoch, staging
+  /// the per-shard sub-batches concurrently on the shared pool. On a store
+  /// that has never held a series, a batch of at least
+  /// kBoundarySeriesPerShard * num_shards() series first sets the
+  /// boundaries: shard i starts at the batch's key of rank
+  /// floor(i * size / num_shards), and the MANIFEST is rewritten with them
+  /// before the batch is journaled. Tied ranks (bounds not strictly
+  /// increasing) keep the even split. Every non-empty batch, on one shard
+  /// or many, is all-or-nothing on reopen. OK means the whole batch is
+  /// committed and published (deferred compaction hiccups never fail a
+  /// committed batch — they resurface from the next Flush/CompactAll); on
+  /// a torn commit the returned Status names every failed shard and the
+  /// store refuses further writes until reopened (recovery rolls the torn
+  /// epoch back). Store-level writers are serialized by the commit lock.
   ///
   /// `ctx` bounds the batch (default: no deadline). The deadline is polled
   /// at the commit protocol's stage boundaries; where the abort lands
@@ -256,7 +252,7 @@ class ShardedStore {
   size_t ShardForSeries(const Series& series) const EXCLUDES(commit_mu_);
 
   /// Write-path health: OK while the store accepts writes, or the poison
-  /// status after a torn cross-shard commit / the quarantine status while
+  /// status after a torn commit / the quarantine status while
   /// shards are quarantined (every write is refused until the store is
   /// reopened). The admin server's /healthz maps a non-OK result to HTTP
   /// 503 — except quarantine, which it reports as 200 "degraded" via
@@ -271,7 +267,7 @@ class ShardedStore {
   /// Total entries across shards (direct per-shard sums under the
   /// visibility lock — no store snapshot is materialized).
   uint64_t num_entries() const;
-  /// Last cross-shard epoch committed and published.
+  /// Last epoch committed and published.
   uint64_t committed_epoch() const {
     return committed_epoch_.load(std::memory_order_acquire);
   }
@@ -304,13 +300,14 @@ class ShardedStore {
   /// The store must not be poisoned.
   Status CommitManifestLocked() REQUIRES(commit_mu_);
   /// Journal replay at Open: truncates torn shard tails (uncommitted
-  /// epochs, torn single-series writes) and advances the epoch floor.
+  /// epochs, torn partial-series tails) and advances the epoch floor.
   static Status RecoverFromJournal(const std::string& dir,
                                    StoreManifest* manifest,
                                    uint64_t* next_epoch);
-  /// The atomic multi-shard commit (epoch + journal + staged publication).
-  Status CommitCrossShardLocked(std::vector<std::vector<Series>> buckets,
-                                const Context& ctx) REQUIRES(commit_mu_);
+  /// The one commit path: `buckets[i]` is shard i's slice (empty when the
+  /// batch does not touch it); epoch + journal + staged publication.
+  Status CommitLocked(std::vector<std::vector<Series>> buckets,
+                      const Context& ctx) REQUIRES(commit_mu_);
   /// Marks shard `i` quarantined with `cause` (idempotent; const because
   /// the read path quarantines on checksum failure) and updates the
   /// store.shard.quarantined gauge. Later snapshots leave the shard out.
@@ -346,7 +343,7 @@ class ShardedStore {
   std::vector<std::string> raw_paths_;
   std::unique_ptr<CommitJournal> journal_;
 
-  // Store-level writers (Insert/InsertBatch/Flush/CompactAll) serialize on
+  // Store-level writers (InsertBatch/Flush/CompactAll) serialize on
   // commit_mu_: epochs are assigned, journaled, staged, and published in
   // order (the group-commit discipline — batching concurrent writers into
   // one epoch is the named follow-on). The manifest is also re-committed,
@@ -355,8 +352,8 @@ class ShardedStore {
   // Next epoch to assign; always above every epoch ever journaled, even
   // across reopens.
   uint64_t next_epoch_ GUARDED_BY(commit_mu_) = 1;
-  // Set after a torn cross-shard commit: every later write returns this
-  // status until the store is reopened (recovery rolls the epoch back).
+  // Set after a torn commit: every later write returns this status until
+  // the store is reopened (recovery rolls the epoch back).
   // Guarded by its own innermost mutex (ordering: commit_mu_ before
   // poison_mu_) so WriteHealth stays responsive while a long epoch commit
   // holds commit_mu_ — a health probe must report, not hang.
@@ -375,9 +372,9 @@ class ShardedStore {
   // Last epoch committed AND published (atomic so snapshots can stamp
   // themselves without taking commit_mu_).
   std::atomic<uint64_t> committed_epoch_{0};
-  // Publication/visibility lock: multi-shard publications hold it
-  // exclusively (short, no I/O), snapshots and counts hold it shared — a
-  // snapshot can never observe half an epoch.
+  // Publication/visibility lock: epoch publications hold it exclusively
+  // (short, no I/O), snapshots and counts hold it shared — a snapshot can
+  // never observe half an epoch.
   mutable SharedMutex visibility_mu_;
 };
 

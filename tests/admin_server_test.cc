@@ -301,9 +301,10 @@ TEST(AdminServer, HealthzFlipsTo503WhenStorePoisoned) {
   EXPECT_EQ(HttpGet(port, "/healthz", &body), 200);
   EXPECT_EQ(body, "ok\n");
 
-  // A multi-shard batch takes the journaled commit path, hits the armed
-  // kill point, and poisons the store. It is below the 2-shard boundary
-  // floor, so the even split it is routed by here stays.
+  // A multi-shard batch takes the journaled commit path, as every batch
+  // does, hits the armed kill point, and poisons the store. It is below
+  // the 2-shard boundary floor, so the even split it is routed by here
+  // stays.
   std::vector<Series> batch = MakeSeries(120, 11);
   std::map<size_t, size_t> owners;
   for (const Series& s : batch) ++owners[store->ShardForSeries(s)];

@@ -2,7 +2,11 @@
 // ingestion stays exact, flushes create runs, compaction bounds run count.
 #include "src/core/coconut_forest.h"
 
+#include <atomic>
+#include <memory>
+
 #include "gtest/gtest.h"
+#include "src/common/failpoint.h"
 #include "tests/test_util.h"
 
 namespace coconut {
@@ -79,6 +83,96 @@ TEST(CoconutForest, FlushCreatesRunsAndCompactionBoundsThem) {
   EXPECT_NEAR(r.distance, 0.0, 1e-4);
   (void)bf_idx;
   (void)bf_dist;
+}
+
+TEST(CoconutForest, BatchesFlushExactlyAtTheMemtableSize) {
+  // Run boundaries depend only on the memtable size, not on how the
+  // inserts are batched: 30 + 80 + 250 series at 100 per run flush at
+  // series 100, 200 and 300 and leave 60 in the memtable.
+  ScratchDir dir;
+  ForestOptions opts = SmallForest(dir);
+  opts.memtable_series = 100;
+  opts.max_runs = 3;
+  std::unique_ptr<CoconutForest> forest;
+  ASSERT_OK(CoconutForest::Open(dir.File("data.bin"), dir.File("forest"),
+                                opts, &forest));
+  auto gen = MakeGenerator(DatasetKind::kRandomWalk, 64, 79);
+  for (const size_t size : {30, 80, 250}) {
+    std::vector<Series> batch;
+    for (size_t i = 0; i < size; ++i) batch.push_back(gen->NextSeries());
+    ASSERT_OK(forest->InsertBatch(batch));
+  }
+  const CoconutForest::Snapshot snap = forest->GetSnapshot();
+  ASSERT_EQ(snap.runs.size(), 3u);
+  for (const auto& run : snap.runs) EXPECT_EQ(run->num_entries(), 100u);
+  EXPECT_EQ(snap.memtable_count, 60u);
+}
+
+TEST(CoconutForest, FailedAppendLatchesUntilReopen) {
+  // A raw-file write fails partway through a batch, after two of its
+  // series reached the file. Those bytes sit past the forest's raw size;
+  // an append after them would record offsets (and CRCs) that point at
+  // the failed batch's series, so every later append must be refused.
+  FailpointGuard failpoints;
+  ScratchDir dir;
+  const std::string raw = dir.File("data.bin");
+  std::unique_ptr<CoconutForest> forest;
+  ASSERT_OK(CoconutForest::Open(raw, dir.File("forest"), SmallForest(dir),
+                                &forest));
+  auto gen = MakeGenerator(DatasetKind::kRandomWalk, 64, 80);
+  auto next_batch = [&gen]() {
+    std::vector<Series> batch;
+    for (int i = 0; i < 20; ++i) batch.push_back(gen->NextSeries());
+    return batch;
+  };
+  const std::vector<Series> first = next_batch();
+  const std::vector<Series> failing = next_batch();
+  const std::vector<Series> later = next_batch();
+  ASSERT_OK(forest->InsertBatch(first));
+
+  // Fail every series-sized write from the third on (a one-shot fault
+  // would be healed by the I/O layer's retry).
+  auto series_writes = std::make_shared<std::atomic<size_t>>(0);
+  Failpoints::Default().ArmCallback(
+      "io.file.write", [series_writes](size_t bytes) {
+        if (bytes != 64 * sizeof(Value)) return Status::OK();
+        if (series_writes->fetch_add(1) + 1 < 3) return Status::OK();
+        return Status::IOError("injected raw write fault");
+      });
+  const Status failed = forest->InsertBatch(failing);
+  Failpoints::Default().DisarmAll();
+  ASSERT_FALSE(failed.ok());
+  EXPECT_GE(series_writes->load(), 3u);
+
+  // The latch: the same status from every append until reopen.
+  EXPECT_EQ(forest->InsertBatch(later).ToString(), failed.ToString());
+  CoconutForest::StagedBatch staged;
+  EXPECT_EQ(forest->StageBatch(later, &staged).ToString(),
+            failed.ToString());
+  EXPECT_EQ(forest->num_entries(), first.size());
+  for (const Series& s : first) {
+    SearchResult r;
+    ASSERT_OK(forest->Search(forest->GetSnapshot(), s.data(),
+                             {.mode = QuerySpec::Mode::kExact}, &r));
+    EXPECT_NEAR(r.distance, 0.0, 1e-4);
+  }
+
+  // Reopen keeps the whole series the raw file holds (the raw file is the
+  // forest's write-ahead log: the first batch plus the failed batch's
+  // two-series prefix) and appends again.
+  forest.reset();
+  ASSERT_OK(CoconutForest::Open(raw, dir.File("forest"), SmallForest(dir),
+                                &forest));
+  EXPECT_EQ(forest->num_entries(), first.size() + 2);
+  ASSERT_OK(forest->InsertBatch(later));
+  for (const std::vector<Series>* batch : {&first, &later}) {
+    for (const Series& s : *batch) {
+      SearchResult r;
+      ASSERT_OK(forest->Search(forest->GetSnapshot(), s.data(),
+                               {.mode = QuerySpec::Mode::kExact}, &r));
+      EXPECT_NEAR(r.distance, 0.0, 1e-4);
+    }
+  }
 }
 
 TEST(CoconutForest, BootstrapsFromExistingDataset) {

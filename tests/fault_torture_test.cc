@@ -24,7 +24,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -134,9 +133,9 @@ TEST(FaultTorture, CrashAndCorruptRounds) {
   std::vector<Series> model;
 
   // ---- Phase 1: crash rounds -------------------------------------------
-  // Fault menu. The commit protocol promises all-or-nothing for journaled
-  // (multi-shard) batches, so any of these must leave either the old state
-  // or old+batch — never a partial batch.
+  // Fault menu. The commit protocol promises all-or-nothing for every
+  // batch, so any of these must leave either the old state or old+batch —
+  // never a partial batch.
   struct Fault {
     const char* site;
     Failpoints::Kind kind;
@@ -155,16 +154,10 @@ TEST(FaultTorture, CrashAndCorruptRounds) {
     const size_t batch_size = 20 + rng() % 61;
     std::vector<Series> batch = RandomBatch(rng, batch_size);
 
-    // Only arm protocol faults when the batch actually takes the journaled
-    // multi-shard path; a single-shard batch would sail past them and the
-    // round would test nothing. Leave ~1/3 of rounds fault-free so the
+    // Every batch, on one shard or several, takes the journaled path, so
+    // any batch can carry a fault. Leave ~1/3 of rounds fault-free so the
     // committed prefix keeps growing no matter which faults the seed draws.
-    // Batches stay below the boundary floor (64 per shard), so the even
-    // split routes the first one too.
-    std::map<size_t, size_t> owners;
-    for (const Series& s : batch) ++owners[store->ShardForSeries(s)];
-    const bool multi_shard = owners.size() > 1;
-    if (multi_shard && rng() % 3 != 0) {
+    if (rng() % 3 != 0) {
       const Fault& f = kFaults[rng() % std::size(kFaults)];
       Failpoints::Action action;
       action.kind = f.kind;

@@ -1,6 +1,6 @@
 // ShardedStore: manifest round-trip and crash recovery, key-space routing,
 // cross-shard k-NN equivalence against a single unsharded forest, the
-// cross-shard atomic-commit protocol (fault-injection kill-point matrix,
+// atomic epoch-commit protocol (fault-injection kill-point matrix,
 // epoch journal torn-tail handling, strict manifest parsing), and
 // multi-shard reader/writer stress tests (ThreadSanitizer targets, see
 // .github/workflows/ci.yml).
@@ -439,7 +439,7 @@ TEST(StoreManifestStrict, RejectsMalformedInputNamingTheLine) {
   }
 }
 
-// --- Cross-shard atomic commit: kill-point matrix ---------------------------
+// --- Atomic epoch commit: kill-point matrix ---------------------------------
 
 /// Brute-force reference distances over `data` (ascending, top k).
 std::vector<double> OracleTopK(const std::vector<Series>& data,
@@ -511,76 +511,131 @@ TEST(ShardedStoreRecovery, KillPointMatrixYieldsCommittedPrefix) {
       {"store.commit.after_journal_commit", true, "after-commit"},
   };
 
-  for (const Kill& kill : kills) {
-    SCOPED_TRACE(kill.name);
-    FailpointGuard failpoints;
-    ScratchDir dir;
-    const std::string root = dir.File("store");
+  // 3 shards: a torn epoch whose other shards staged their slices. 1 shard:
+  // every batch is one slice, and each kill point must reach it too.
+  for (const size_t num_shards : {size_t{3}, size_t{1}}) {
+    for (const Kill& kill : kills) {
+      SCOPED_TRACE(std::string(kill.name) + ", " +
+                   std::to_string(num_shards) + " shard(s)");
+      FailpointGuard failpoints;
+      ScratchDir dir;
+      const std::string root = dir.File("store");
 
-    // Data with deliberate duplicates so recovered k-NN has distance ties.
-    std::vector<Series> data = MakeSeries(220, 7000);
-    for (size_t i = 0; i < 20; ++i) data.push_back(data[i * 7]);
-    const std::vector<Series> committed(data.begin(), data.begin() + 160);
-    const std::vector<Series> torn(data.begin() + 160, data.end());
+      // Data with deliberate duplicates so recovered k-NN has distance ties.
+      std::vector<Series> data = MakeSeries(220, 7000);
+      for (size_t i = 0; i < 20; ++i) data.push_back(data[i * 7]);
+      const std::vector<Series> committed(data.begin(), data.begin() + 160);
+      const std::vector<Series> torn(data.begin() + 160, data.end());
 
-    {
-      std::unique_ptr<ShardedStore> store;
-      ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 3), &store));
-      // The torn batch must actually be multi-shard or the journal-free
-      // fast path would dodge the kill point. Every batch here is below
-      // the boundary floor (64 per shard), so the even split routes it.
-      std::map<size_t, size_t> owners;
-      for (const Series& s : torn) ++owners[store->ShardForSeries(s)];
-      ASSERT_GT(owners.size(), 1u) << "torn batch routed to a single shard";
-      const size_t victim = store->ShardForSeries(torn[0]);
+      {
+        std::unique_ptr<ShardedStore> store;
+        ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, num_shards),
+                                     &store));
+        if (num_shards > 1) {
+          // The torn batch must be multi-shard, so that the shard-stage
+          // kill leaves other shards' slices on disk. Every batch here is
+          // below the boundary floor (64 per shard), so the even split
+          // routes it.
+          std::map<size_t, size_t> owners;
+          for (const Series& s : torn) ++owners[store->ShardForSeries(s)];
+          ASSERT_GT(owners.size(), 1u)
+              << "torn batch routed to a single shard";
+        }
+        const size_t victim = store->ShardForSeries(torn[0]);
 
-      ASSERT_OK(store->InsertBatch(
-          std::vector<Series>(committed.begin(), committed.begin() + 80)));
-      ASSERT_OK(store->InsertBatch(
-          std::vector<Series>(committed.begin() + 80, committed.end())));
-      EXPECT_EQ(store->num_entries(), committed.size());
+        ASSERT_OK(store->InsertBatch(
+            std::vector<Series>(committed.begin(), committed.begin() + 80)));
+        ASSERT_OK(store->InsertBatch(
+            std::vector<Series>(committed.begin() + 80, committed.end())));
+        EXPECT_EQ(store->num_entries(), committed.size());
 
-      // Arm the chosen kill point AFTER the committed prefix lands (for
-      // shard_stage: only the victim shard fails, so every OTHER shard
-      // durably stages its slice — the torn state).
-      if (std::string(kill.site) == "store.commit.shard_stage") {
-        Failpoints::Default().ArmCallback(
-            kill.site, [victim](size_t shard) {
-              if (shard != victim) return Status::OK();
-              return Status::IOError("injected fault");
-            });
-      } else {
-        Failpoints::Default().ArmError(kill.site);
+        // Arm the chosen kill point AFTER the committed prefix lands (for
+        // shard_stage: only the victim shard fails, so every OTHER shard
+        // durably stages its slice — the torn state).
+        if (std::string(kill.site) == "store.commit.shard_stage") {
+          Failpoints::Default().ArmCallback(
+              kill.site, [victim](size_t shard) {
+                if (shard != victim) return Status::OK();
+                return Status::IOError("injected fault");
+              });
+        } else {
+          Failpoints::Default().ArmError(kill.site);
+        }
+        const Status st = store->InsertBatch(torn);
+        EXPECT_FALSE(st.ok()) << st.ToString();
+
+        // The torn epoch is never published in-process either: queries and
+        // counts keep seeing only the committed prefix...
+        EXPECT_EQ(store->num_entries(), committed.size());
+        // ...and the store is write-poisoned until reopened.
+        Failpoints::Default().DisarmAll();
+        const Status poisoned = store->InsertBatch(torn);
+        EXPECT_TRUE(poisoned.IsIOError()) << poisoned.ToString();
+        EXPECT_NE(poisoned.message().find("read-only"), std::string::npos)
+            << poisoned.ToString();
+        // Simulated crash: the store object is dropped with no clean
+        // shutdown; whatever reached disk stays there.
       }
-      const Status st = store->InsertBatch(torn);
-      EXPECT_FALSE(st.ok()) << st.ToString();
 
-      // The torn epoch is never published in-process either: queries and
-      // counts keep seeing only the committed prefix...
-      EXPECT_EQ(store->num_entries(), committed.size());
-      // ...and the store is write-poisoned until reopened.
-      Failpoints::Default().DisarmAll();
-      const Status poisoned = store->InsertBatch(torn);
-      EXPECT_TRUE(poisoned.IsIOError()) << poisoned.ToString();
-      EXPECT_NE(poisoned.message().find("read-only"), std::string::npos)
-          << poisoned.ToString();
-      // Simulated crash: the store object is dropped with no clean
-      // shutdown; whatever reached disk stays there.
+      std::unique_ptr<ShardedStore> store;
+      ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, num_shards), &store));
+      std::vector<Series> expected = committed;
+      if (kill.batch_survives) {
+        expected.insert(expected.end(), torn.begin(), torn.end());
+      }
+      EXPECT_EQ(store->num_entries(), expected.size());
+      ExpectStoreMatchesUnshardedForest(dir, store.get(), expected, kill.name);
+
+      // Recovery fully re-arms the store: the next batch commits.
+      ASSERT_OK(store->InsertBatch(MakeSeries(60, 7100)));
+      EXPECT_EQ(store->num_entries(), expected.size() + 60);
     }
-
-    std::unique_ptr<ShardedStore> store;
-    ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 3), &store));
-    std::vector<Series> expected = committed;
-    if (kill.batch_survives) {
-      expected.insert(expected.end(), torn.begin(), torn.end());
-    }
-    EXPECT_EQ(store->num_entries(), expected.size());
-    ExpectStoreMatchesUnshardedForest(dir, store.get(), expected, kill.name);
-
-    // Recovery fully re-arms the store: the next cross-shard batch commits.
-    ASSERT_OK(store->InsertBatch(MakeSeries(60, 7100)));
-    EXPECT_EQ(store->num_entries(), expected.size() + 60);
   }
+}
+
+TEST(ShardedStoreRecovery, FailedSingleShardAppendPoisonsAndRollsBack) {
+  // A raw-file write fails partway through a 1-shard store's batch. The
+  // failed append leaves whole series behind in the raw file that no
+  // committed batch owns; the next batch must not land behind them, and
+  // reopen must roll them back rather than quarantine the shard.
+  FailpointGuard failpoints;
+  ScratchDir dir;
+  const std::string root = dir.File("store");
+  const std::vector<Series> first = MakeSeries(20, 7200);
+  {
+    std::unique_ptr<ShardedStore> store;
+    ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 1), &store));
+    ASSERT_OK(store->InsertBatch(first));
+
+    // Fail every series-sized write from the third on (a one-shot fault
+    // would be healed by the I/O layer's retry), so two series of the
+    // batch reach the raw file before it fails.
+    auto series_writes = std::make_shared<std::atomic<size_t>>(0);
+    Failpoints::Default().ArmCallback(
+        "io.file.write", [series_writes](size_t bytes) {
+          if (bytes != kSeriesLen * sizeof(Value)) return Status::OK();
+          if (series_writes->fetch_add(1) + 1 < 3) return Status::OK();
+          return Status::IOError("injected raw write fault");
+        });
+    const Status failed = store->InsertBatch(MakeSeries(20, 7201));
+    Failpoints::Default().DisarmAll();
+    EXPECT_FALSE(failed.ok());
+    EXPECT_GE(series_writes->load(), 3u);
+
+    EXPECT_FALSE(store->WriteHealth().ok());
+    const Status refused = store->InsertBatch(MakeSeries(20, 7202));
+    EXPECT_TRUE(refused.IsIOError()) << refused.ToString();
+    EXPECT_NE(refused.message().find("read-only"), std::string::npos)
+        << refused.ToString();
+    EXPECT_EQ(store->num_entries(), first.size());
+  }
+
+  std::unique_ptr<ShardedStore> store;
+  ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 1), &store));
+  EXPECT_OK(store->WriteHealth());
+  EXPECT_EQ(store->QuarantinedShards(), 0u);
+  EXPECT_EQ(store->num_entries(), first.size());
+  ExpectStoreMatchesUnshardedForest(dir, store.get(), first, "failed-append");
 }
 
 TEST(ShardedStoreRecovery, TornCommitStatusNamesFailedShards) {
@@ -634,9 +689,9 @@ TEST(ShardedStore, WriteHealthRespondsDuringInFlightCommit) {
   ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 2), &store));
 
   const std::vector<Series> batch = MakeSeries(120, 4200);
-  // Must be multi-shard, or the journal-free fast path would skip the
-  // epoch protocol (and its kShardStage hook) entirely. 120 series is below
-  // the 2-shard boundary floor, so routing it now is final.
+  // Multi-shard, so the parked commit stalls a fan-out of shard stages,
+  // not just one. 120 series is below the 2-shard boundary floor, so
+  // routing it now is final.
   std::map<size_t, size_t> owners;
   for (const Series& s : batch) ++owners[store->ShardForSeries(s)];
   ASSERT_GT(owners.size(), 1u);
@@ -742,10 +797,9 @@ TEST(ShardedStoreRecovery, FlushCheckpointsTheJournal) {
   ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 3), &store));
 
   const std::vector<Series> data = MakeSeries(200, 9900);
-  // Both batches must be multi-shard or the journal-free fast path would
-  // leave the journal untouched and the size expectations below would
-  // misfire at the wrong cause. Each is below the 3-shard boundary floor,
-  // so the even split routes both.
+  // Both batches span several shards, so each epoch journals a
+  // multi-slice begin record. Each is below the 3-shard boundary floor, so
+  // the even split routes both.
   std::map<size_t, size_t> first_owners, second_owners;
   for (size_t i = 0; i < 100; ++i) {
     ++first_owners[store->ShardForSeries(data[i])];
@@ -790,9 +844,10 @@ TEST(ShardedStoreRecovery, TornSingleSeriesTailRolledBack) {
     ASSERT_OK(ShardedStore::Open(root, SmallStore(dir, 2), &store));
     ASSERT_OK(store->InsertBatch(data));
   }
-  // A crash mid-append of a journal-free write can leave a fraction of one
-  // series at a shard's raw tail; recovery must shave it off (the raw file
-  // is a headerless array of fixed-size series).
+  // A shard's raw tail that holds a fraction of one series and that no
+  // journal record names (damage, or a store written before every batch
+  // was journaled) must be shaved off: the raw file is a headerless array
+  // of fixed-size series.
   {
     std::ofstream raw(JoinPath(JoinPath(root, "shard-0"), "raw.bin"),
                       std::ios::app | std::ios::binary);
@@ -808,7 +863,7 @@ TEST(ShardedStoreRecovery, SizeTriggeredJournalCheckpoint) {
   ScratchDir dir;
   const std::string root = dir.File("store");
   StoreOptions opts = SmallStore(dir, 3);
-  opts.journal_checkpoint_bytes = 64;  // every multi-shard epoch overflows
+  opts.journal_checkpoint_bytes = 64;  // every epoch overflows
   std::unique_ptr<ShardedStore> store;
   ASSERT_OK(ShardedStore::Open(root, opts, &store));
   uint64_t header_only = 0;
@@ -952,12 +1007,12 @@ TEST(ShardedStoreBoundaries, InsertSmallOrTiedFirstBatchKeepsEvenSplit) {
   }
   ASSERT_NE(even, QuantileBounds(dir, big, kShards));
 
-  // A first Insert makes the store non-empty, so the large batch after it
-  // is no first batch.
+  // A first one-series batch makes the store non-empty, so the large batch
+  // after it is no first batch.
   {
     std::unique_ptr<ShardedStore> store;
     ASSERT_NO_FATAL_FAILURE(open("insert-first", &store));
-    ASSERT_OK(store->Insert(big[0]));
+    ASSERT_OK(store->InsertBatch({big[0]}));
     ASSERT_OK(store->InsertBatch(big));
     EXPECT_EQ(BoundsOf(*store), even);
   }
