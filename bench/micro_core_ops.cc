@@ -200,27 +200,60 @@ void BM_SaxFromSeries(benchmark::State& state) {
 }
 BENCHMARK(BM_SaxFromSeries);
 
+// 4,096 seeded random SAX words of Sum()'s shape, cycled so that the branch
+// predictor cannot learn one fixed word.
+constexpr size_t kInvSaxWords = 4096;
+
+std::vector<uint8_t> RandomSaxWords(uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> words(kInvSaxWords * Sum().segments);
+  for (auto& b : words) b = static_cast<uint8_t>(rng.UniformInt(256));
+  return words;
+}
+
 void BM_InvSaxInterleave(benchmark::State& state) {
-  Rng rng(3);
-  std::vector<uint8_t> sax(16);
-  for (auto& b : sax) b = static_cast<uint8_t>(rng.UniformInt(256));
   const SummaryOptions opts = Sum();
+  const std::vector<uint8_t> sax = RandomSaxWords(3);
+  size_t i = 0;
   for (auto _ : state) {
-    ZKey k = InvSaxFromSax(sax.data(), opts);
+    ZKey k = InvSaxFromSax(sax.data() + (i % kInvSaxWords) * opts.segments,
+                           opts);
     benchmark::DoNotOptimize(k);
+    ++i;
   }
 }
 BENCHMARK(BM_InvSaxInterleave);
 
-void BM_InvSaxRoundTrip(benchmark::State& state) {
-  Rng rng(4);
-  std::vector<uint8_t> sax(16), back(16);
-  for (auto& b : sax) b = static_cast<uint8_t>(rng.UniformInt(256));
+void BM_SaxFromInvSax(benchmark::State& state) {
   const SummaryOptions opts = Sum();
+  const std::vector<uint8_t> sax = RandomSaxWords(4);
+  std::vector<ZKey> keys(kInvSaxWords);
+  for (size_t i = 0; i < kInvSaxWords; ++i) {
+    keys[i] = InvSaxFromSax(sax.data() + i * opts.segments, opts);
+  }
+  std::vector<uint8_t> back(opts.segments);
+  size_t i = 0;
   for (auto _ : state) {
-    const ZKey k = InvSaxFromSax(sax.data(), opts);
+    SaxFromInvSax(keys[i % kInvSaxWords], opts, back.data());
+    benchmark::DoNotOptimize(back.data());
+    benchmark::ClobberMemory();
+    ++i;
+  }
+}
+BENCHMARK(BM_SaxFromInvSax);
+
+void BM_InvSaxRoundTrip(benchmark::State& state) {
+  const SummaryOptions opts = Sum();
+  const std::vector<uint8_t> sax = RandomSaxWords(5);
+  std::vector<uint8_t> back(opts.segments);
+  size_t i = 0;
+  for (auto _ : state) {
+    const ZKey k =
+        InvSaxFromSax(sax.data() + (i % kInvSaxWords) * opts.segments, opts);
     SaxFromInvSax(k, opts, back.data());
     benchmark::DoNotOptimize(back.data());
+    benchmark::ClobberMemory();
+    ++i;
   }
 }
 BENCHMARK(BM_InvSaxRoundTrip);

@@ -25,6 +25,13 @@ class ZKey {
   /// Constructs the all-zero key (minimum possible key).
   ZKey() : words_{} {}
 
+  /// Builds a key from `kWords` words, `words[0]` the most significant.
+  static ZKey FromWords(const uint64_t* words) {
+    ZKey k;
+    std::memcpy(k.words_.data(), words, kBytes);
+    return k;
+  }
+
   /// Returns the maximum possible key (all bits set).
   static ZKey Max() {
     ZKey k;

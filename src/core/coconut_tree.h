@@ -190,8 +190,11 @@ class CoconutTreeBuilder {
   /// Phase 1 of Algorithm 3 (lines 2-11), shared with Coconut-Trie: scans
   /// the dataset and adds one leaf entry per series to `sorter`, in file
   /// order — (invSAX key, raw offset), plus the raw payload when
-  /// options.materialized. Summarization runs on the shared pool unless
-  /// options.num_threads == 1; the records are identical either way.
+  /// options.materialized. The raw file is read in strides of a few MiB,
+  /// one positional read each. Unless options.num_threads == 1, each stride
+  /// summarizes on the shared pool while the next one is read; the records
+  /// are identical either way. A raw file that is not a whole number of
+  /// series is Corruption.
   static Status Summarize(const std::string& raw_path,
                           const CoconutOptions& options,
                           ExternalSorter* sorter);

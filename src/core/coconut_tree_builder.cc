@@ -14,6 +14,7 @@
 #include "src/exec/thread_pool.h"
 #include "src/io/buffered_io.h"
 #include "src/io/io_stats.h"
+#include "src/series/dataset.h"
 #include "src/summary/invsax.h"
 #include "src/summary/paa.h"
 #include "src/summary/sax.h"
@@ -214,59 +215,79 @@ Status CoconutTreeBuilder::Summarize(const std::string& raw_path,
   // variant additionally carries the raw payload so that the sort phase
   // orders the full records (Coconut-Tree-Full).
   //
-  // The scan stays sequential (one reader), but summarization — PAA, SAX,
-  // key interleaving, record encoding — is CPU work done per series, so it
-  // runs over the shared pool in fixed-size strides. Records are handed to
-  // the sorter in file order, making the output byte-identical to the
-  // serial path.
-  DatasetScanner scanner;
+  // The raw file is scanned in fixed-size strides, each with one positional
+  // read, in file order. Summarization — PAA, SAX, key interleaving, record
+  // encoding — is CPU work done per series, so it runs over the shared pool,
+  // and the read of stride i+1 into the other buffer overlaps the summarize
+  // of stride i. Records are handed to the sorter in file order, making the
+  // output byte-identical to the serial path (num_threads == 1), which reads
+  // and summarizes each stride inline.
+  std::unique_ptr<RawSeriesFile> raw;
   COCONUT_RETURN_IF_ERROR(
-      scanner.Open(raw_path, options.summary.series_length));
+      RawSeriesFile::Open(raw_path, options.summary.series_length, &raw));
   const size_t entry_bytes = LeafEntryBytes(options);
   const size_t series_len = options.summary.series_length;
-  const uint64_t series_bytes = series_len * sizeof(Value);
-  const bool serial = options.num_threads == 1;
-  // Stride sized from a byte budget so the staging buffers stay a few MiB
-  // even for long or materialized series; the serial path uses a stride of
-  // 1 to keep memory flat.
-  const size_t stride =
-      serial ? 1
-             : std::max<size_t>(1, (size_t{8} << 20) /
-                                       std::max<size_t>(series_bytes,
-                                                        entry_bytes));
-  std::vector<Value> series_buf(stride * series_len);
-  std::vector<uint8_t> records(stride * entry_bytes);
-  Status st;
-  uint64_t position = 0;
-  while (true) {
-    size_t filled = 0;
-    while (filled < stride &&
-           scanner.Next(series_buf.data() + filled * series_len, &st)) {
-      ++filled;
+  const uint64_t series_bytes = raw->series_bytes();
+  const uint64_t count = raw->count();
+  ThreadPool* pool =
+      options.num_threads == 1 ? nullptr : ThreadPool::Shared();
+  // Stride sized from a byte budget so the buffers stay a few MiB even for
+  // long or materialized series.
+  const uint64_t stride = std::max<uint64_t>(
+      1, (uint64_t{8} << 20) / std::max<uint64_t>(series_bytes, entry_bytes));
+  std::vector<Value> buffers[2];
+  std::vector<uint8_t> records;
+  Status read_status;
+  // Reads the stride starting at series `first` into `buf`. It may run on a
+  // pool worker, which carries no I/O scope of its own.
+  const auto read_stride = [&](uint64_t first, std::vector<Value>* buf) {
+    IoComponentScope io_scope("build");
+    const uint64_t n = std::min(stride, count - first);
+    buf->resize(n * series_len);
+    read_status = raw->ReadRange(first, n, buf->data());
+  };
+  if (count > 0) read_stride(0, &buffers[0]);
+  for (uint64_t first = 0, i = 0; first < count; ++i) {
+    COCONUT_RETURN_IF_ERROR(read_status);
+    const std::vector<Value>& series_buf = buffers[i % 2];
+    const uint64_t filled = series_buf.size() / series_len;
+    const uint64_t next = first + filled;
+    std::vector<Value>* next_buf = &buffers[(i + 1) % 2];
+    // The task touches this frame's locals, so every path below waits for
+    // it before leaving the loop body.
+    std::shared_ptr<OneShotTask> next_read;
+    if (next < count && pool != nullptr) {
+      next_read = std::make_shared<OneShotTask>(
+          [&read_stride, next, next_buf]() { read_stride(next, next_buf); });
+      OneShotTask::Schedule(pool, next_read);
     }
-    COCONUT_RETURN_IF_ERROR(st);
-    if (filled == 0) break;
+    records.resize(filled * entry_bytes);
     const auto summarize = [&](uint64_t lo, uint64_t hi) {
-      std::vector<double> paa(options.summary.segments);
-      std::vector<uint8_t> sax(options.summary.segments);
-      for (uint64_t i = lo; i < hi; ++i) {
-        const Value* s = series_buf.data() + i * series_len;
-        PaaTransform(s, series_len, options.summary.segments, paa.data());
-        SaxFromPaa(paa.data(), options.summary, sax.data());
-        const ZKey key = InvSaxFromSax(sax.data(), options.summary);
-        EncodeLeafEntry(key, position + i * series_bytes,
+      double paa[ZKey::kBits];
+      uint8_t sax[ZKey::kBits];
+      for (uint64_t j = lo; j < hi; ++j) {
+        const Value* s = series_buf.data() + j * series_len;
+        PaaTransform(s, series_len, options.summary.segments, paa);
+        SaxFromPaa(paa, options.summary, sax);
+        const ZKey key = InvSaxFromSax(sax, options.summary);
+        EncodeLeafEntry(key, (first + j) * series_bytes,
                         options.materialized ? s : nullptr, series_len,
-                        records.data() + i * entry_bytes);
+                        records.data() + j * entry_bytes);
       }
     };
-    if (serial) {
+    if (pool == nullptr) {
       summarize(0, filled);
     } else {
-      ThreadPool::Shared()->ParallelFor(0, filled, /*grain=*/0, summarize);
+      pool->ParallelFor(0, filled, /*grain=*/0, summarize);
     }
-    COCONUT_RETURN_IF_ERROR(sorter->AddBatch(records.data(), filled));
-    position += filled * series_bytes;
-    if (filled < stride) break;  // scanner exhausted
+    const Status add_status = sorter->AddBatch(records.data(), filled);
+    if (next_read != nullptr) {
+      next_read->Wait();
+    } else if (next < count && add_status.ok()) {
+      read_stride(next, next_buf);
+    }
+    COCONUT_RETURN_IF_ERROR(add_status);
+    first = next;
   }
   return Status::OK();
 }

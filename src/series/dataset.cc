@@ -51,6 +51,13 @@ Status RawSeriesFile::ReadAt(uint64_t offset, Value* out) {
   return file_->Read(offset, series_bytes(), out);
 }
 
+Status RawSeriesFile::ReadRange(uint64_t first, uint64_t n, Value* out) {
+  if (first > count_ || n > count_ - first) {
+    return Status::InvalidArgument("series range past the end of the file");
+  }
+  return file_->Read(first * series_bytes(), n * series_bytes(), out);
+}
+
 Status RawSeriesFile::LoadAll(size_t budget_bytes, std::vector<Value>* out) {
   if (size_bytes() > budget_bytes) {
     return Status::InvalidArgument("raw file exceeds memory budget");

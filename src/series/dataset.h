@@ -48,6 +48,10 @@ class RawSeriesFile {
     return ReadAt(index * series_bytes(), out);
   }
 
+  /// Reads the `n` series starting at number `first` into `out`
+  /// (n * length() floats) with one positional read.
+  Status ReadRange(uint64_t first, uint64_t n, Value* out);
+
   /// Loads the whole file into memory (used when the memory budget allows
   /// caching the raw data, e.g. Coconut-Trie-Full materialization with ample
   /// memory). Fails if the file does not fit in `budget_bytes`.

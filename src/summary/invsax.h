@@ -13,6 +13,16 @@
 //
 // The transform is a bijection: no information is lost relative to the
 // original SAX word, so pruning power is unchanged (paper §4.1).
+//
+// Both directions work on bit planes of 8 segments at a time, with no
+// data-dependent branch. Interleaving loads 8 symbols as the bytes of a
+// word x; for each level, ((x >> sym_bit) & 0x0101..01) * 0x8040201008040201
+// gathers that bit of all 8 symbols into the top byte (segment j0 as its
+// MSB), which is ORed into the key at bit (level * w + j0). De-interleaving
+// reads those 8 key bits back and spreads them to the 8 symbol bytes through
+// a 256-entry table. Any (w, b) that fits the key works: a group of fewer
+// than 8 segments carries zero bytes, and a byte that crosses a 64-bit word
+// is split across the two words.
 #ifndef COCONUT_SUMMARY_INVSAX_H_
 #define COCONUT_SUMMARY_INVSAX_H_
 
@@ -32,7 +42,7 @@ ZKey InvSaxFromSax(const uint8_t* sax, const SummaryOptions& opts);
 /// Inverse of InvSaxFromSax: recovers the SAX word from the key.
 void SaxFromInvSax(const ZKey& key, const SummaryOptions& opts, uint8_t* out);
 
-/// One-shot helper: raw series -> invSAX key.
+/// One-shot helper: raw series -> invSAX key. `opts` must pass Validate().
 ZKey InvSaxFromSeries(const Value* series, const SummaryOptions& opts);
 
 }  // namespace coconut

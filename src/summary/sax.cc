@@ -1,7 +1,6 @@
 #include "src/summary/sax.h"
 
-#include <vector>
-
+#include "src/common/zkey.h"
 #include "src/summary/breakpoints.h"
 #include "src/summary/paa.h"
 
@@ -16,9 +15,10 @@ void SaxFromPaa(const double* paa, const SummaryOptions& opts, uint8_t* out) {
 
 void SaxFromSeries(const Value* series, const SummaryOptions& opts,
                    uint8_t* out) {
-  std::vector<double> paa(opts.segments);
-  PaaTransform(series, opts.series_length, opts.segments, paa.data());
-  SaxFromPaa(paa.data(), opts, out);
+  // Every segment holds at least one key bit, so a key bounds the segments.
+  double paa[ZKey::kBits];
+  PaaTransform(series, opts.series_length, opts.segments, paa);
+  SaxFromPaa(paa, opts, out);
 }
 
 }  // namespace coconut

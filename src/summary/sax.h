@@ -21,6 +21,7 @@ using SaxWord = std::vector<uint8_t>;
 void SaxFromPaa(const double* paa, const SummaryOptions& opts, uint8_t* out);
 
 /// One-shot helper: raw series -> SAX word (computes PAA internally).
+/// `opts` must pass Validate().
 void SaxFromSeries(const Value* series, const SummaryOptions& opts,
                    uint8_t* out);
 

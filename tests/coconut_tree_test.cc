@@ -7,6 +7,8 @@
 #include <cmath>
 
 #include "gtest/gtest.h"
+#include "src/common/crc32c.h"
+#include "src/io/file.h"
 #include "src/io/io_stats.h"
 #include "src/series/distance.h"
 #include "src/summary/invsax.h"
@@ -210,13 +212,22 @@ TEST_F(CoconutTreeStructureTest, ReopenedIndexAnswersQueries) {
 }
 
 TEST_F(CoconutTreeStructureTest, BuildIsSequentialIo) {
-  const IoSnapshot before = IoCounterSet::FromRegistry("io.").Snapshot();
+  const IoCounterSet total = IoCounterSet::FromRegistry("io.");
+  const IoCounterSet build = IoCounterSet::FromRegistry("io.build.");
+  const IoSnapshot total_before = total.Snapshot();
+  const IoSnapshot build_before = build.Snapshot();
   BuildSmall(5000, 100, 1.0);
-  const IoSnapshot s = IoCounterSet::FromRegistry("io.").Snapshot() - before;
+  const IoSnapshot s = total.Snapshot() - total_before;
   // Bottom-up bulk loading must be nearly all sequential I/O: allow only a
   // handful of random accesses (superblock rewrite, file opens).
   EXPECT_LE(s.random_write_ops, 5u) << s.ToString();
   EXPECT_GE(s.write_ops, 1u);
+  // The build's own reads are the raw scan: large reads in file order that
+  // together cover the raw file once.
+  const IoSnapshot b = build.Snapshot() - build_before;
+  EXPECT_GE(b.read_ops, 1u) << b.ToString();
+  EXPECT_EQ(b.random_read_ops, 0u) << b.ToString();
+  EXPECT_EQ(b.bytes_read, 5000u * 64 * sizeof(Value)) << b.ToString();
 }
 
 TEST_F(CoconutTreeStructureTest, MergeBatchKeepsExactness) {
@@ -306,6 +317,99 @@ TEST_F(CoconutTreeStructureTest, BestFirstFetchesOnlyTheQuerySaxWord) {
     EXPECT_EQ(res.distance, 0.0) << "query " << q;
     EXPECT_GE(res.visited_records, 1u) << "query " << q;
     EXPECT_LE(res.visited_records, sharing) << "query " << q;
+  }
+}
+
+// A random walk whose points are multiples of 1/16 below 64 in magnitude,
+// from a fixed splitmix64 stream: PAA sums of such floats are exact in any
+// order, so the SAX words, and with them the build's bytes, are the same on
+// every SIMD backend and standard library.
+void WriteDyadicWalk(const std::string& path, size_t count, size_t length) {
+  uint64_t state = 41;
+  const auto next = [&state]() {
+    uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  BufferedWriter w;
+  ASSERT_OK(w.Open(path));
+  std::vector<Value> series(length);
+  for (size_t i = 0; i < count; ++i) {
+    float v = 0.0f;
+    for (Value& x : series) {
+      v += static_cast<float>(static_cast<int>(next() % 33) - 16) / 16.0f;
+      x = v;
+    }
+    ASSERT_OK(w.Write(series.data(), length * sizeof(Value)));
+  }
+  ASSERT_OK(w.Finish());
+}
+
+uint32_t FileCrc(const std::string& path) {
+  std::unique_ptr<RandomAccessFile> file;
+  EXPECT_OK(RandomAccessFile::Open(path, &file));
+  if (file == nullptr) return 0;
+  std::vector<uint8_t> bytes(file->size());
+  EXPECT_OK(file->Read(0, bytes.size(), bytes.data()));
+  return crc32c::Value(bytes.data(), bytes.size());
+}
+
+// The build's output bytes are fixed: summarize, sort and load must write the
+// same index and .sax sidecar at any thread count. 40,000 series span two
+// summarize strides, and the 1 MiB budget makes the sort spill and merge.
+TEST(CoconutTreeGolden, BuildBytesMatchRecordedChecksums) {
+  // Checksums recorded from the bit-at-a-time invSAX build with a
+  // per-series buffered scan; the sidecar holds no raw payload, so both
+  // variants share it.
+  constexpr uint32_t kSidecarCrc = 0x4120dbcfu;
+  struct Golden {
+    bool materialized;
+    uint32_t index_crc;
+  };
+  const Golden cases[] = {{false, 0x6a47eedeu}, {true, 0xb7705b28u}};
+  ScratchDir dir;
+  const std::string raw = dir.File("walk.bin");
+  WriteDyadicWalk(raw, 40000, 64);
+  for (const Golden& g : cases) {
+    for (unsigned threads : {1u, 0u}) {
+      CoconutOptions opts;
+      opts.summary.series_length = 64;
+      opts.summary.segments = 16;
+      opts.summary.cardinality_bits = 8;
+      opts.leaf_capacity = 100;
+      opts.materialized = g.materialized;
+      opts.num_threads = threads;
+      opts.memory_budget_bytes = 1 << 20;
+      opts.tmp_dir = dir.path();
+      const std::string index = dir.File("golden.ctree");
+      ASSERT_OK(CoconutTree::Build(raw, index, opts));
+      EXPECT_EQ(FileCrc(index), g.index_crc)
+          << "materialized=" << g.materialized << " threads=" << threads;
+      EXPECT_EQ(FileCrc(index + ".sax"), kSidecarCrc)
+          << "materialized=" << g.materialized << " threads=" << threads;
+    }
+  }
+}
+
+TEST(CoconutTreeErrors, PartialTrailingSeriesRejected) {
+  ScratchDir dir;
+  const std::string raw = dir.File("data.bin");
+  MakeDatasetFile(raw, DatasetKind::kRandomWalk, 10, 64, 3);
+  {
+    std::unique_ptr<WritableFile> f;
+    ASSERT_OK(WritableFile::OpenForAppend(raw, &f));
+    const Value half[32] = {};
+    ASSERT_OK(f->Append(half, sizeof(half)));
+    ASSERT_OK(f->Close());
+  }
+  CoconutOptions opts;
+  opts.summary.series_length = 64;
+  opts.tmp_dir = dir.path();
+  for (unsigned threads : {1u, 0u}) {
+    opts.num_threads = threads;
+    const Status st = CoconutTree::Build(raw, dir.File("i.ctree"), opts);
+    EXPECT_TRUE(st.IsCorruption()) << st.ToString();
   }
 }
 

@@ -124,6 +124,81 @@ TEST(InvSax, RoundTripsAtAllConfigurations) {
   }
 }
 
+// The definition of invSAX (paper Algorithm 1) as one bit at a time: key bit
+// (level * w + j) is bit (b - 1 - level) of symbol j. The kernel in
+// invsax.cc must agree with it in both directions, not only round-trip.
+ZKey ReferenceInvSax(const uint8_t* sax, const SummaryOptions& opts) {
+  ZKey key;
+  const unsigned b = opts.cardinality_bits;
+  size_t pos = 0;
+  for (unsigned level = 0; level < b; ++level) {
+    for (size_t j = 0; j < opts.segments; ++j, ++pos) {
+      if ((sax[j] >> (b - 1 - level)) & 1u) key.SetBit(pos);
+    }
+  }
+  return key;
+}
+
+void ReferenceSax(const ZKey& key, const SummaryOptions& opts, uint8_t* out) {
+  const unsigned b = opts.cardinality_bits;
+  std::fill(out, out + opts.segments, uint8_t{0});
+  size_t pos = 0;
+  for (unsigned level = 0; level < b; ++level) {
+    for (size_t j = 0; j < opts.segments; ++j, ++pos) {
+      if (key.GetBit(pos)) {
+        out[j] = static_cast<uint8_t>(out[j] | (1u << (b - 1 - level)));
+      }
+    }
+  }
+}
+
+TEST(InvSax, MatchesBitLoopReferenceAtEveryConfiguration) {
+  std::vector<size_t> seg_counts;
+  for (size_t s = 1; s <= 33; ++s) seg_counts.push_back(s);
+  for (size_t s : {48, 64, 100, 128, 255, 256}) seg_counts.push_back(s);
+  Rng rng(23);
+  size_t configs = 0;
+  for (size_t segs : seg_counts) {
+    for (unsigned bits = 1; bits <= 8; ++bits) {
+      SummaryOptions opts;
+      opts.series_length = segs;
+      opts.segments = segs;
+      opts.cardinality_bits = bits;
+      if (!opts.Validate().ok()) continue;  // over the 256-bit key
+      ++configs;
+      const unsigned max_symbol = (1u << bits) - 1;
+      for (int trial = 0; trial < 66; ++trial) {
+        // Symbols: all zero, all max, then random ones.
+        std::vector<uint8_t> sax(segs);
+        for (auto& s : sax) {
+          s = static_cast<uint8_t>(trial == 0   ? 0
+                                   : trial == 1 ? max_symbol
+                                                : rng.UniformInt(max_symbol + 1));
+        }
+        const ZKey want = ReferenceInvSax(sax.data(), opts);
+        ASSERT_EQ(InvSaxFromSax(sax.data(), opts), want)
+            << "segs=" << segs << " bits=" << bits << " trial=" << trial;
+
+        // Keys: all zero, all ones over key_bits, then random key_bits
+        // prefixes (bits past key_bits are zero in every stored key).
+        ZKey key;
+        for (size_t pos = 0; pos < opts.key_bits(); ++pos) {
+          if (trial == 1 || (trial > 1 && rng.UniformInt(2) == 1)) {
+            key.SetBit(pos);
+          }
+        }
+        std::vector<uint8_t> got(segs, 0xAA), ref(segs);
+        SaxFromInvSax(key, opts, got.data());
+        ReferenceSax(key, opts, ref.data());
+        ASSERT_EQ(got, ref)
+            << "segs=" << segs << " bits=" << bits << " trial=" << trial;
+      }
+    }
+  }
+  // 39 segment counts; the widest ones admit only low bit widths.
+  EXPECT_EQ(configs, 278u);
+}
+
 TEST(InvSax, InterleavingPutsLevelBitsFirst) {
   // Paper Algorithm 1: the first w key bits are the most significant bits
   // of the w segments, in segment order.
