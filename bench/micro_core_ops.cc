@@ -188,25 +188,49 @@ void BM_PaaTransform(benchmark::State& state) {
 }
 BENCHMARK(BM_PaaTransform);
 
+// The summary benchmarks cycle through 4,096 seeded random inputs of
+// Sum()'s shape, so that the branch predictor cannot learn one fixed input.
+constexpr size_t kRandomInputs = 4096;
+
 void BM_SaxFromSeries(benchmark::State& state) {
-  RandomWalkGenerator gen(256, 2);
-  Series s = gen.NextSeries();
-  std::vector<uint8_t> sax(16);
   const SummaryOptions opts = Sum();
+  RandomWalkGenerator gen(opts.series_length, 2);
+  std::vector<Value> series(kRandomInputs * opts.series_length);
+  for (size_t i = 0; i < kRandomInputs; ++i) {
+    gen.Next(series.data() + i * opts.series_length);
+  }
+  std::vector<uint8_t> sax(opts.segments);
+  size_t i = 0;
   for (auto _ : state) {
-    SaxFromSeries(s.data(), opts, sax.data());
+    SaxFromSeries(series.data() + (i % kRandomInputs) * opts.series_length,
+                  opts, sax.data());
     benchmark::DoNotOptimize(sax.data());
+    benchmark::ClobberMemory();
+    ++i;
   }
 }
 BENCHMARK(BM_SaxFromSeries);
 
-// 4,096 seeded random SAX words of Sum()'s shape, cycled so that the branch
-// predictor cannot learn one fixed word.
-constexpr size_t kInvSaxWords = 4096;
+void BM_SaxFromPaa(benchmark::State& state) {
+  const SummaryOptions opts = Sum();
+  Rng rng(6);
+  std::vector<double> paa(kRandomInputs * opts.segments);
+  for (double& v : paa) v = rng.Gaussian();
+  std::vector<uint8_t> sax(opts.segments);
+  size_t i = 0;
+  for (auto _ : state) {
+    SaxFromPaa(paa.data() + (i % kRandomInputs) * opts.segments, opts,
+               sax.data());
+    benchmark::DoNotOptimize(sax.data());
+    benchmark::ClobberMemory();
+    ++i;
+  }
+}
+BENCHMARK(BM_SaxFromPaa);
 
 std::vector<uint8_t> RandomSaxWords(uint64_t seed) {
   Rng rng(seed);
-  std::vector<uint8_t> words(kInvSaxWords * Sum().segments);
+  std::vector<uint8_t> words(kRandomInputs * Sum().segments);
   for (auto& b : words) b = static_cast<uint8_t>(rng.UniformInt(256));
   return words;
 }
@@ -216,7 +240,7 @@ void BM_InvSaxInterleave(benchmark::State& state) {
   const std::vector<uint8_t> sax = RandomSaxWords(3);
   size_t i = 0;
   for (auto _ : state) {
-    ZKey k = InvSaxFromSax(sax.data() + (i % kInvSaxWords) * opts.segments,
+    ZKey k = InvSaxFromSax(sax.data() + (i % kRandomInputs) * opts.segments,
                            opts);
     benchmark::DoNotOptimize(k);
     ++i;
@@ -227,14 +251,14 @@ BENCHMARK(BM_InvSaxInterleave);
 void BM_SaxFromInvSax(benchmark::State& state) {
   const SummaryOptions opts = Sum();
   const std::vector<uint8_t> sax = RandomSaxWords(4);
-  std::vector<ZKey> keys(kInvSaxWords);
-  for (size_t i = 0; i < kInvSaxWords; ++i) {
+  std::vector<ZKey> keys(kRandomInputs);
+  for (size_t i = 0; i < kRandomInputs; ++i) {
     keys[i] = InvSaxFromSax(sax.data() + i * opts.segments, opts);
   }
   std::vector<uint8_t> back(opts.segments);
   size_t i = 0;
   for (auto _ : state) {
-    SaxFromInvSax(keys[i % kInvSaxWords], opts, back.data());
+    SaxFromInvSax(keys[i % kRandomInputs], opts, back.data());
     benchmark::DoNotOptimize(back.data());
     benchmark::ClobberMemory();
     ++i;
@@ -249,7 +273,7 @@ void BM_InvSaxRoundTrip(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const ZKey k =
-        InvSaxFromSax(sax.data() + (i % kInvSaxWords) * opts.segments, opts);
+        InvSaxFromSax(sax.data() + (i % kRandomInputs) * opts.segments, opts);
     SaxFromInvSax(k, opts, back.data());
     benchmark::DoNotOptimize(back.data());
     benchmark::ClobberMemory();

@@ -2,8 +2,26 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace coconut {
+
+namespace {
+
+// The 8-bit symbol of `value` through the grid described in breakpoints.h.
+inline uint32_t GridSymbol(const uint8_t* grid, const double* padded,
+                           double lowest, double scale, double top,
+                           double value) {
+  double f = (value - lowest) * scale;
+  f = f < top ? f : top;  // NaN fails the compare and takes `top`
+  f = f > 0.0 ? f : 0.0;
+  uint32_t s = grid[static_cast<uint32_t>(f)];
+  s += padded[s] <= value;
+  s += padded[s] <= value;
+  return s;
+}
+
+}  // namespace
 
 double InverseNormalCdf(double p) {
   // Acklam's algorithm: rational approximations on a central region and two
@@ -61,6 +79,20 @@ SaxBreakpoints::SaxBreakpoints() {
     for (uint32_t i = 0; i + 1 < card; ++i) e[i + 1] = t[i];
     e.back() = HUGE_VAL;
   }
+
+  const std::vector<double>& t = tables_[kMaxCardinalityBits];
+  std::copy(t.begin(), t.end(), padded_.begin());
+  padded_.back() = std::numeric_limits<double>::quiet_NaN();
+  grid_lowest_ = t.front();
+  const double step = (t.back() - t.front()) / (kGridBuckets - 1);
+  grid_scale_ = 1.0 / step;
+  grid_[0] = 0;
+  for (uint32_t i = 1; i < kGridBuckets; ++i) {
+    const double edge = grid_lowest_ + (i - 1) * step;
+    grid_[i] = static_cast<uint8_t>(
+        std::upper_bound(t.begin(), t.end(), edge) - t.begin());
+  }
+  grid_[kGridBuckets] = static_cast<uint8_t>(t.size());
 }
 
 const SaxBreakpoints& SaxBreakpoints::Get() {
@@ -80,10 +112,25 @@ double SaxBreakpoints::RegionUpper(unsigned bits, uint32_t symbol) const {
 }
 
 uint32_t SaxBreakpoints::Symbol(unsigned bits, double value) const {
-  const std::vector<double>& t = tables_[bits];
-  // First breakpoint strictly greater than value gives the region index.
-  return static_cast<uint32_t>(
-      std::upper_bound(t.begin(), t.end(), value) - t.begin());
+  return GridSymbol(grid_.data(), padded_.data(), grid_lowest_, grid_scale_,
+                    kGridBuckets, value) >>
+         (kMaxCardinalityBits - bits);
+}
+
+void SaxBreakpoints::Symbols(unsigned bits, const double* values, size_t n,
+                             uint8_t* out) const {
+  // Locals, not members: a byte store through `out` may alias *this, so
+  // members read inside the loop would be reloaded for every value.
+  const uint8_t* grid = grid_.data();
+  const double* padded = padded_.data();
+  const double lowest = grid_lowest_;
+  const double scale = grid_scale_;
+  const unsigned shift = kMaxCardinalityBits - bits;
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<uint8_t>(
+        GridSymbol(grid, padded, lowest, scale, kGridBuckets, values[i]) >>
+        shift);
+  }
 }
 
 }  // namespace coconut

@@ -5,10 +5,37 @@
 // Breakpoints nest across cardinalities: the boundaries at cardinality 2^b
 // are a subset of those at 2^(b+1), which is what makes iSAX's
 // multi-resolution prefix semantics work (the b-bit symbol of a value is the
-// top b bits of its (b+1)-bit symbol).
+// top b bits of its (b+1)-bit symbol). The nesting is exact, not just close:
+// breakpoint i at 2^b is InverseNormalCdf((i + 1) / 2^b), and that quotient
+// is the same double as the finer levels' ((i + 1) * 2^k) / 2^(b+k), so
+// every level holds bit-identical copies of the coarser levels' values.
+//
+// Quantizing (Symbol, Symbols) therefore looks up only the 8-bit symbol and
+// shifts it down. The 8-bit lookup is a uniform grid, not a binary search:
+//   - kGridBuckets buckets of width `step` start at the lowest breakpoint,
+//     and step = (highest - lowest) / (kGridBuckets - 1), so the highest
+//     breakpoint is the lower edge of the last bucket. A value's bucket is
+//     (value - lowest) / step, clamped to [0, kGridBuckets]; the clamp is
+//     written so that NaN lands in the top bucket, and the clamped double
+//     is converted to an integer only once it is in range.
+//   - Bucket i stores the symbol of the lower edge of bucket i - 1 (bucket
+//     0 stores 0, and the top bucket, which holds only values above the
+//     highest breakpoint and NaN, stores 255). Rounding moves a value's
+//     bucket by far less than one bucket, so the stored symbol is a lower
+//     bound on the symbol of every value that lands in the bucket.
+//   - The step (0.0052) is below the smallest gap between 8-bit breakpoints
+//     (0.0098, at the median). A value lies less than two steps above its
+//     bucket's stored edge, so at most two breakpoints separate the two,
+//     and two branch-free compares `bp[s] <= value` finish the count.
+//   - The breakpoint array is padded with NaN at index 255, which the
+//     compares never count. So a NaN value keeps the top bucket's 255, which
+//     is what std::upper_bound returns for it.
+// Cost: kGridBuckets + 1 bytes of grid plus 256 doubles, about 3 KiB.
 #ifndef COCONUT_SUMMARY_BREAKPOINTS_H_
 #define COCONUT_SUMMARY_BREAKPOINTS_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -42,8 +69,14 @@ class SaxBreakpoints {
   /// highest region).
   double RegionUpper(unsigned bits, uint32_t symbol) const;
 
-  /// Symbol (0-based, 0 = lowest region) of `value` at cardinality 2^bits.
+  /// Symbol (0-based, 0 = lowest region) of `value` at cardinality 2^bits:
+  /// the number of breakpoints <= value, as std::upper_bound counts them
+  /// (2^bits - 1 for NaN).
   uint32_t Symbol(unsigned bits, double value) const;
+
+  /// Symbol(bits, values[i]) into out[i] for each i < n.
+  void Symbols(unsigned bits, const double* values, size_t n,
+               uint8_t* out) const;
 
   /// Flat region-edge table for cardinality 2^bits: 2^bits + 1 entries
   /// where region `s` spans [EdgeTable()[s], EdgeTable()[s + 1]], i.e.
@@ -59,6 +92,13 @@ class SaxBreakpoints {
   std::vector<std::vector<double>> tables_;
   // edges_[b] holds the 2^b + 1 region edges (breakpoints plus -+inf ends).
   std::vector<std::vector<double>> edges_;
+
+  // The 8-bit grid lookup (see the file comment).
+  static constexpr uint32_t kGridBuckets = 1024;
+  double grid_lowest_ = 0;  // the lowest 8-bit breakpoint
+  double grid_scale_ = 0;   // buckets per unit of value, 1 / step
+  std::array<uint8_t, kGridBuckets + 1> grid_{};
+  std::array<double, 256> padded_{};  // 8-bit breakpoints, then NaN
 };
 
 }  // namespace coconut

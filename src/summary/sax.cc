@@ -7,10 +7,8 @@
 namespace coconut {
 
 void SaxFromPaa(const double* paa, const SummaryOptions& opts, uint8_t* out) {
-  const SaxBreakpoints& bp = SaxBreakpoints::Get();
-  for (size_t s = 0; s < opts.segments; ++s) {
-    out[s] = static_cast<uint8_t>(bp.Symbol(opts.cardinality_bits, paa[s]));
-  }
+  SaxBreakpoints::Get().Symbols(opts.cardinality_bits, paa, opts.segments,
+                                out);
 }
 
 void SaxFromSeries(const Value* series, const SummaryOptions& opts,

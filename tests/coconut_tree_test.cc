@@ -7,7 +7,6 @@
 #include <cmath>
 
 #include "gtest/gtest.h"
-#include "src/common/crc32c.h"
 #include "src/io/file.h"
 #include "src/io/io_stats.h"
 #include "src/series/distance.h"
@@ -320,41 +319,6 @@ TEST_F(CoconutTreeStructureTest, BestFirstFetchesOnlyTheQuerySaxWord) {
   }
 }
 
-// A random walk whose points are multiples of 1/16 below 64 in magnitude,
-// from a fixed splitmix64 stream: PAA sums of such floats are exact in any
-// order, so the SAX words, and with them the build's bytes, are the same on
-// every SIMD backend and standard library.
-void WriteDyadicWalk(const std::string& path, size_t count, size_t length) {
-  uint64_t state = 41;
-  const auto next = [&state]() {
-    uint64_t z = (state += 0x9E3779B97F4A7C15ull);
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
-  };
-  BufferedWriter w;
-  ASSERT_OK(w.Open(path));
-  std::vector<Value> series(length);
-  for (size_t i = 0; i < count; ++i) {
-    float v = 0.0f;
-    for (Value& x : series) {
-      v += static_cast<float>(static_cast<int>(next() % 33) - 16) / 16.0f;
-      x = v;
-    }
-    ASSERT_OK(w.Write(series.data(), length * sizeof(Value)));
-  }
-  ASSERT_OK(w.Finish());
-}
-
-uint32_t FileCrc(const std::string& path) {
-  std::unique_ptr<RandomAccessFile> file;
-  EXPECT_OK(RandomAccessFile::Open(path, &file));
-  if (file == nullptr) return 0;
-  std::vector<uint8_t> bytes(file->size());
-  EXPECT_OK(file->Read(0, bytes.size(), bytes.data()));
-  return crc32c::Value(bytes.data(), bytes.size());
-}
-
 // The build's output bytes are fixed: summarize, sort and load must write the
 // same index and .sax sidecar at any thread count. 40,000 series span two
 // summarize strides, and the 1 MiB budget makes the sort spill and merge.
@@ -370,7 +334,7 @@ TEST(CoconutTreeGolden, BuildBytesMatchRecordedChecksums) {
   const Golden cases[] = {{false, 0x6a47eedeu}, {true, 0xb7705b28u}};
   ScratchDir dir;
   const std::string raw = dir.File("walk.bin");
-  WriteDyadicWalk(raw, 40000, 64);
+  testing::WriteDyadicWalk(raw, 40000, 64);
   for (const Golden& g : cases) {
     for (unsigned threads : {1u, 0u}) {
       CoconutOptions opts;
@@ -384,9 +348,9 @@ TEST(CoconutTreeGolden, BuildBytesMatchRecordedChecksums) {
       opts.tmp_dir = dir.path();
       const std::string index = dir.File("golden.ctree");
       ASSERT_OK(CoconutTree::Build(raw, index, opts));
-      EXPECT_EQ(FileCrc(index), g.index_crc)
+      EXPECT_EQ(testing::FileCrc(index), g.index_crc)
           << "materialized=" << g.materialized << " threads=" << threads;
-      EXPECT_EQ(FileCrc(index + ".sax"), kSidecarCrc)
+      EXPECT_EQ(testing::FileCrc(index + ".sax"), kSidecarCrc)
           << "materialized=" << g.materialized << " threads=" << threads;
     }
   }

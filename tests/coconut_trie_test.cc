@@ -337,6 +337,44 @@ TEST(CoconutTrieConcurrency, ConstReadPathsAreThreadSafe) {
   }
 }
 
+// The trie's build bytes are fixed, as the tree's are
+// (CoconutTreeGolden): the same dyadic dataset, summarized by the same
+// Summarize, must give the same index and .sax sidecar at any thread count.
+// With a 1 MiB budget the sort spills, and the materialized build fetches
+// each series from the raw file.
+TEST(CoconutTrieGolden, BuildBytesMatchRecordedChecksums) {
+  // The sidecar holds the SAX words in key order, as the tree's does, so
+  // both indexes share its checksum.
+  constexpr uint32_t kSidecarCrc = 0x4120dbcfu;
+  struct Golden {
+    bool materialized;
+    uint32_t index_crc;
+  };
+  const Golden cases[] = {{false, 0x64693809u}, {true, 0x0dd207a2u}};
+  ScratchDir dir;
+  const std::string raw = dir.File("walk.bin");
+  testing::WriteDyadicWalk(raw, 40000, 64);
+  for (const Golden& g : cases) {
+    for (unsigned threads : {1u, 0u}) {
+      CoconutOptions opts;
+      opts.summary.series_length = 64;
+      opts.summary.segments = 16;
+      opts.summary.cardinality_bits = 8;
+      opts.leaf_capacity = 100;
+      opts.materialized = g.materialized;
+      opts.num_threads = threads;
+      opts.memory_budget_bytes = 1 << 20;
+      opts.tmp_dir = dir.path();
+      const std::string index = dir.File("golden.ctrie");
+      ASSERT_OK(CoconutTrie::Build(raw, index, opts));
+      EXPECT_EQ(testing::FileCrc(index), g.index_crc)
+          << "materialized=" << g.materialized << " threads=" << threads;
+      EXPECT_EQ(testing::FileCrc(index + ".sax"), kSidecarCrc)
+          << "materialized=" << g.materialized << " threads=" << threads;
+    }
+  }
+}
+
 TEST(CoconutTrieErrors, EmptyDatasetRejected) {
   ScratchDir dir;
   const std::string raw = dir.File("empty.bin");

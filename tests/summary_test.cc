@@ -3,6 +3,7 @@
 // every index in the repository.
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -62,6 +63,60 @@ TEST(Breakpoints, SymbolPrefixProperty) {
       EXPECT_EQ(bp.Symbol(bits, v), full >> (8 - bits))
           << "value " << v << " bits " << bits;
     }
+  }
+}
+
+// Symbol looks up a grid instead of searching the breakpoints. It must give
+// exactly what the binary search gave, std::upper_bound over ForBits(bits),
+// on every double: near every breakpoint, at the IEEE extremes and over
+// random values, at every cardinality, value by value and in whole words.
+TEST(Breakpoints, SymbolMatchesUpperBound) {
+  const SaxBreakpoints& bp = SaxBreakpoints::Get();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  std::vector<double> values = {0.0,     -0.0,     kInf,     -kInf,
+                                kMax,    -kMax,    kDenorm,  -kDenorm,
+                                std::numeric_limits<double>::quiet_NaN()};
+  // Every coarser breakpoint is also an 8-bit one.
+  for (double b : bp.ForBits(kMaxCardinalityBits)) {
+    double up = b, down = b;
+    values.push_back(b);
+    for (int ulp = 0; ulp < 4; ++ulp) {
+      up = std::nextafter(up, kInf);
+      down = std::nextafter(down, -kInf);
+      values.push_back(up);
+      values.push_back(down);
+    }
+  }
+  Rng rng(17);
+  for (int i = 0; i < 1000000; ++i) {
+    values.push_back(rng.Gaussian());
+    values.push_back(-5.0 + 10.0 * rng.Uniform());
+  }
+  SummaryOptions opts;
+  opts.segments = 16;
+  values.resize(values.size() / opts.segments * opts.segments);
+
+  std::vector<uint8_t> expected(values.size()), word(values.size());
+  for (unsigned bits = 1; bits <= kMaxCardinalityBits; ++bits) {
+    const std::vector<double>& t = bp.ForBits(bits);
+    size_t mismatches = 0;
+    for (size_t i = 0; i < values.size(); ++i) {
+      expected[i] = static_cast<uint8_t>(
+          std::upper_bound(t.begin(), t.end(), values[i]) - t.begin());
+      if (bp.Symbol(bits, values[i]) != expected[i] && ++mismatches <= 5) {
+        ADD_FAILURE() << "bits " << bits << " value " << values[i]
+                      << " symbol " << bp.Symbol(bits, values[i])
+                      << " expected " << int{expected[i]};
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << "bits " << bits;
+    opts.cardinality_bits = bits;
+    for (size_t i = 0; i < values.size(); i += opts.segments) {
+      SaxFromPaa(values.data() + i, opts, word.data() + i);
+    }
+    EXPECT_TRUE(word == expected) << "SaxFromPaa words, bits " << bits;
   }
 }
 

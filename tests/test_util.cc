@@ -4,6 +4,9 @@
 #include <cmath>
 #include <limits>
 
+#include "src/common/crc32c.h"
+#include "src/io/buffered_io.h"
+#include "src/io/file.h"
 #include "src/series/distance.h"
 #include "src/summary/paa.h"
 #include "src/summary/sax.h"
@@ -88,6 +91,37 @@ size_t CountSharingSaxWord(const std::vector<Series>& data,
   return static_cast<size_t>(
       std::count_if(data.begin(), data.end(),
                     [&](const Series& s) { return word(s) == want; }));
+}
+
+void WriteDyadicWalk(const std::string& path, size_t count, size_t length) {
+  uint64_t state = 41;
+  const auto next = [&state]() {
+    uint64_t z = (state += 0x9E3779B97F4A7C15ull);
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
+    return z ^ (z >> 31);
+  };
+  BufferedWriter w;
+  ASSERT_OK(w.Open(path));
+  std::vector<Value> series(length);
+  for (size_t i = 0; i < count; ++i) {
+    float v = 0.0f;
+    for (Value& x : series) {
+      v += static_cast<float>(static_cast<int>(next() % 33) - 16) / 16.0f;
+      x = v;
+    }
+    ASSERT_OK(w.Write(series.data(), length * sizeof(Value)));
+  }
+  ASSERT_OK(w.Finish());
+}
+
+uint32_t FileCrc(const std::string& path) {
+  std::unique_ptr<RandomAccessFile> file;
+  EXPECT_OK(RandomAccessFile::Open(path, &file));
+  if (file == nullptr) return 0;
+  std::vector<uint8_t> bytes(file->size());
+  EXPECT_OK(file->Read(0, bytes.size(), bytes.data()));
+  return crc32c::Value(bytes.data(), bytes.size());
 }
 
 }  // namespace testing

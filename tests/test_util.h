@@ -69,6 +69,16 @@ std::vector<std::pair<size_t, double>> BruteForceKnn(
 size_t CountSharingSaxWord(const std::vector<Series>& data,
                            const Series& query, const SummaryOptions& opts);
 
+/// Writes `count` random walks of `length` points to `path`. Every point is a
+/// multiple of 1/16 below 64 in magnitude, from a fixed splitmix64 stream:
+/// PAA sums of such floats are exact in any order, so the SAX words, and with
+/// them a build's bytes, are the same on every SIMD backend and standard
+/// library. The build golden tests index this dataset.
+void WriteDyadicWalk(const std::string& path, size_t count, size_t length);
+
+/// CRC32C of the whole file at `path` (0 after a failed read).
+uint32_t FileCrc(const std::string& path);
+
 }  // namespace testing
 }  // namespace coconut
 
