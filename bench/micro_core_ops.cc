@@ -318,10 +318,9 @@ BENCHMARK(BM_MindistSax);
 void BM_ExternalSort(benchmark::State& state) {
   // End-to-end sort of `n` 40-byte records (the non-materialized entry
   // size): ingest via AddBatch, spill, merge, drain the stream. Rows sweep
-  // the resolved thread count and radix-vs-comparison run generation.
+  // the thread count.
   const size_t n = static_cast<size_t>(state.range(0));
   const unsigned threads = static_cast<unsigned>(state.range(1));
-  const bool radix = state.range(2) != 0;
   std::string tmp;
   if (!MakeTempDir("coconut-microsort-", &tmp).ok()) {
     state.SkipWithError("tmp dir");
@@ -337,7 +336,6 @@ void BM_ExternalSort(benchmark::State& state) {
     opts.memory_budget_bytes = 1 << 20;  // force spills beyond ~13K records
     opts.tmp_dir = tmp;
     opts.num_threads = threads;
-    opts.use_radix = radix;
     ExternalSorter sorter(opts);
     if (!sorter.AddBatch(records.data(), n).ok()) {
       state.SkipWithError("add");
@@ -358,17 +356,14 @@ void BM_ExternalSort(benchmark::State& state) {
   (void)RemoveAll(tmp);
 }
 BENCHMARK(BM_ExternalSort)
-    ->ArgsProduct({{10000, 50000}, {1, 4}, {0, 1}})
-    ->ArgNames({"n", "threads", "radix"});
+    ->ArgsProduct({{10000, 50000}, {1, 4}})
+    ->ArgNames({"n", "threads"});
 
 void BM_RunGenerationSort(benchmark::State& state) {
   // Run generation in isolation: the stable (key, arrival) sort of one
-  // in-memory buffer of 40-byte records. The acceptance bar is the radix
-  // rows beating the serial comparison row >= 2x at 4 threads on multicore
-  // hardware (flat on the 1-core dev container).
+  // in-memory buffer of 40-byte records, serial and on a 4-thread pool.
   const size_t n = static_cast<size_t>(state.range(0));
   const unsigned threads = static_cast<unsigned>(state.range(1));
-  const bool radix = state.range(2) != 0;
   Rng rng(8);
   std::vector<uint8_t> records(n * 40);
   for (auto& b : records) b = static_cast<uint8_t>(rng.UniformInt(256));
@@ -381,7 +376,6 @@ void BM_RunGenerationSort(benchmark::State& state) {
   spec.record_bytes = 40;
   spec.key_bytes = 32;
   spec.count = n;
-  spec.use_radix = radix;
   spec.pool = pool.get();
   std::vector<uint32_t> order;
   for (auto _ : state) {
@@ -391,8 +385,8 @@ void BM_RunGenerationSort(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_RunGenerationSort)
-    ->ArgsProduct({{100000}, {1, 4}, {0, 1}})
-    ->ArgNames({"n", "threads", "radix"});
+    ->ArgsProduct({{100000}, {1, 4}})
+    ->ArgNames({"n", "threads"});
 
 }  // namespace
 }  // namespace coconut

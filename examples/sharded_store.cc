@@ -4,7 +4,7 @@
 //      boundaries pinned in a crash-safe manifest),
 //   2. keep a writer thread streaming batches in (each batch is split by
 //      invSAX key and inserted into its shards concurrently; flushes and
-//      two-level parallel compactions happen underneath),
+//      per-shard compactions happen underneath),
 //   3. answer batches of exact k-NN queries at the same time, each batch
 //      against one consistent store-wide snapshot with cross-shard fan-out,
 //   4. reopen the store from its manifest and show the data survived.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
-#include <limits>
 
 #include "src/common/crc32c.h"
 #include "src/common/env.h"
@@ -11,28 +9,13 @@
 #include "src/io/file.h"
 #include "src/exec/thread_pool.h"
 #include "src/obs/stage.h"
+#include "src/sort/record_sort.h"
 #include "src/series/distance.h"
 #include "src/summary/invsax.h"
 
 namespace coconut {
 
 namespace {
-
-/// First index in the sorted record array `records` whose key is >= `key`.
-size_t LowerBoundByKey(const std::vector<uint8_t>& records, size_t entry_bytes,
-                       const uint8_t* key) {
-  size_t lo = 0, hi = records.size() / entry_bytes;
-  while (lo < hi) {
-    const size_t mid = lo + (hi - lo) / 2;
-    if (std::memcmp(records.data() + mid * entry_bytes, key, ZKey::kBytes) <
-        0) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
-}
 
 /// The raw dataset's checksum sidecar: one 4-byte little-endian CRC32C per
 /// series, appended in lockstep with the raw appends. It is advisory the
@@ -292,7 +275,9 @@ Status CoconutForest::StageBatch(const std::vector<Series>& batch,
     // The slice cannot fit even an empty memtable: pre-build it as its own
     // sorted run now, in stage phase, so publication is an O(1) run-set
     // push instead of an impossible sequence of flushes under the store's
-    // visibility lock.
+    // visibility lock. The memtable's older entries flush first, so runs_
+    // stays in raw-offset order.
+    COCONUT_RETURN_IF_ERROR(FlushWriterLocked());
     std::unique_ptr<CoconutTree> run;
     COCONUT_RETURN_IF_ERROR(
         BuildRunWriterLocked(entries, entries.size(), &run));
@@ -464,10 +449,16 @@ Status CoconutForest::BuildRunWriterLocked(
                                                : nullptr,
                     sum.series_length, records.data() + i * entry_bytes);
   }
+  // A stable sort keeps equal keys in raw-offset order, as a full build
+  // over the raw file does.
+  RecordSortSpec spec;
+  spec.base = records.data();
+  spec.record_bytes = entry_bytes;
+  spec.key_bytes = ZKey::kBytes;
+  spec.count = count;
+  spec.pool = options_.tree.num_threads == 1 ? nullptr : ThreadPool::Shared();
   const std::string path = RunPath(next_run_id_++);
-  MemoryStream stream(
-      CoconutTreeBuilder::SortByKey(std::move(records), entry_bytes),
-      entry_bytes);
+  MemoryStream stream(StableSortedCopy(spec), entry_bytes);
   COCONUT_RETURN_IF_ERROR(
       CoconutTreeBuilder::BulkLoad(&stream, options_.tree, path));
   return CoconutTree::Open(path, raw_path_, run);
@@ -476,125 +467,6 @@ Status CoconutForest::BuildRunWriterLocked(
 Status CoconutForest::CompactAll() {
   MutexLock writer_lock(&writer_mu_);
   return CompactWriterLocked();
-}
-
-Status CoconutForest::MergeRunsParallel(
-    const std::vector<std::shared_ptr<const CoconutTree>>& inputs,
-    std::vector<uint8_t>* out) const {
-  assert(!state_write_locked_.load(std::memory_order_relaxed) &&
-         "runs merge must never execute under the reader-visible state lock");
-  const size_t entry_bytes = LeafEntryBytes(options_.tree);
-  ThreadPool* pool = ThreadPool::Shared();
-  Status first_error;
-  Mutex error_mu;
-  auto record_error = [&](const Status& st) {
-    MutexLock lock(&error_mu);
-    if (first_error.ok()) first_error = st;
-  };
-
-  // Stage 1: load every run's (already sorted) leaf entries into memory,
-  // one run per chunk — page reads of distinct runs are independent. The
-  // transient working set is ~2x the merged leaf region (per-run buffers
-  // plus the output); CompactWriterLocked only routes here when that fits
-  // options_.tree.memory_budget_bytes, falling back to the streaming merge
-  // otherwise (materialized leaves carry the full series payload, so the
-  // budget check is what keeps large materialized compactions bounded).
-  std::vector<std::vector<uint8_t>> run_entries(inputs.size());
-  pool->ParallelFor(0, inputs.size(), 1, [&](uint64_t lo, uint64_t hi) {
-    for (uint64_t r = lo; r < hi; ++r) {
-      const CoconutTree& run = *inputs[r];
-      std::vector<uint8_t>& dst = run_entries[r];
-      dst.reserve(static_cast<size_t>(run.num_entries()) * entry_bytes);
-      std::vector<uint8_t> page;
-      size_t count = 0;
-      for (uint64_t leaf = 0; leaf < run.num_leaves(); ++leaf) {
-        const Status st = run.ReadPage(leaf, &page, &count);
-        if (!st.ok()) {
-          record_error(st);
-          return;
-        }
-        dst.insert(dst.end(), page.data(), page.data() + count * entry_bytes);
-      }
-    }
-  });
-  COCONUT_RETURN_IF_ERROR(first_error);
-
-  uint64_t total = 0;
-  size_t largest = 0;
-  for (size_t r = 0; r < run_entries.size(); ++r) {
-    total += run_entries[r].size() / entry_bytes;
-    if (run_entries[r].size() > run_entries[largest].size()) largest = r;
-  }
-  out->resize(static_cast<size_t>(total) * entry_bytes);
-  if (total == 0) return Status::OK();
-
-  // Stage 2: partition the key space so the merge itself can be chunked
-  // over the pool. Pivots are evenly spaced keys of the largest run (a good
-  // sample of the global distribution); every run is split at the same
-  // pivot keys with lower-bound semantics, so each entry lands in exactly
-  // one chunk and chunk-local merges are independent.
-  constexpr uint64_t kMinEntriesPerChunk = 2048;
-  const uint64_t largest_count = run_entries[largest].size() / entry_bytes;
-  size_t chunks = static_cast<size_t>(
-      std::min<uint64_t>(uint64_t{pool->parallelism()} * 2,
-                         std::max<uint64_t>(1, total / kMinEntriesPerChunk)));
-  chunks = static_cast<size_t>(
-      std::min<uint64_t>(chunks, std::max<uint64_t>(1, largest_count)));
-
-  // splits[r][c] .. splits[r][c+1] is run r's subrange for chunk c.
-  std::vector<std::vector<size_t>> splits(inputs.size());
-  for (size_t r = 0; r < run_entries.size(); ++r) {
-    splits[r].push_back(0);
-    for (size_t c = 1; c < chunks; ++c) {
-      const uint8_t* pivot =
-          run_entries[largest].data() +
-          (largest_count * c / chunks) * entry_bytes;
-      splits[r].push_back(LowerBoundByKey(run_entries[r], entry_bytes, pivot));
-    }
-    splits[r].push_back(run_entries[r].size() / entry_bytes);
-  }
-  std::vector<size_t> chunk_offset(chunks + 1, 0);
-  for (size_t c = 0; c < chunks; ++c) {
-    size_t size = 0;
-    for (size_t r = 0; r < run_entries.size(); ++r) {
-      size += splits[r][c + 1] - splits[r][c];
-    }
-    chunk_offset[c + 1] = chunk_offset[c] + size;
-  }
-
-  // Stage 3: chunk-local k-way merges, in parallel, each writing its own
-  // disjoint slice of the output.
-  pool->ParallelFor(0, chunks, 1, [&](uint64_t lo, uint64_t hi) {
-    for (uint64_t c = lo; c < hi; ++c) {
-      struct Cursor {
-        const uint8_t* next;
-        const uint8_t* end;
-      };
-      std::vector<Cursor> cursors;
-      cursors.reserve(run_entries.size());
-      for (size_t r = 0; r < run_entries.size(); ++r) {
-        cursors.push_back(
-            Cursor{run_entries[r].data() + splits[r][c] * entry_bytes,
-                   run_entries[r].data() + splits[r][c + 1] * entry_bytes});
-      }
-      uint8_t* dst = out->data() + chunk_offset[c] * entry_bytes;
-      while (true) {
-        int best = -1;
-        for (size_t r = 0; r < cursors.size(); ++r) {
-          if (cursors[r].next == cursors[r].end) continue;
-          if (best < 0 || std::memcmp(cursors[r].next, cursors[best].next,
-                                      ZKey::kBytes) < 0) {
-            best = static_cast<int>(r);
-          }
-        }
-        if (best < 0) break;
-        std::memcpy(dst, cursors[best].next, entry_bytes);
-        dst += entry_bytes;
-        cursors[best].next += entry_bytes;
-      }
-    }
-  });
-  return Status::OK();
 }
 
 Status CoconutForest::CompactWriterLocked() {
@@ -614,26 +486,19 @@ Status CoconutForest::CompactWriterLocked() {
       MetricRegistry::Default().GetHistogram("forest.compaction.merge_fan_in");
   Stage compaction("forest.compaction", "forest", compaction_ns);
   merge_fan_in->Record(inputs.size());
-  const size_t entry_bytes = LeafEntryBytes(options_.tree);
+  // Every run is sorted, and runs_ lists them in raw-offset order, so one
+  // streaming k-way merge (ties to the earlier run) feeds the bulk load the
+  // same entry order a full build over the raw file would: O(runs x leaf
+  // page) memory at any size. Readers never wait on it; state_mu_ is only
+  // taken to swap the merged run in.
+  assert(!state_write_locked_.load(std::memory_order_relaxed) &&
+         "runs merge must never execute under the reader-visible state lock");
+  std::vector<const CoconutTree*> sources;
+  sources.reserve(inputs.size());
+  for (const auto& run : inputs) sources.push_back(run.get());
   const std::string path = RunPath(next_run_id_++);
-  uint64_t total_entries = 0;
-  for (const auto& run : inputs) total_entries += run->num_entries();
-  // The parallel merge materializes the runs plus the merged output
-  // (~2x the leaf region, and materialized entries embed the raw series);
-  // only take it when that fits the configured memory budget.
-  const bool merge_in_memory =
-      2 * total_entries * entry_bytes <= options_.tree.memory_budget_bytes;
-  if (merge_in_memory) {
-    std::vector<uint8_t> merged_records;
-    COCONUT_RETURN_IF_ERROR(MergeRunsParallel(inputs, &merged_records));
-    MemoryStream stream(std::move(merged_records), entry_bytes);
-    COCONUT_RETURN_IF_ERROR(
-        CoconutTreeBuilder::BulkLoad(&stream, options_.tree, path));
-  } else {
-    std::vector<const CoconutTree*> raw_inputs;
-    raw_inputs.reserve(inputs.size());
-    for (const auto& run : inputs) raw_inputs.push_back(run.get());
-    MergedRunStream stream(std::move(raw_inputs), entry_bytes);
+  {
+    MergedRunStream stream(std::move(sources), LeafEntryBytes(options_.tree));
     COCONUT_RETURN_IF_ERROR(
         CoconutTreeBuilder::BulkLoad(&stream, options_.tree, path));
   }

@@ -7,8 +7,10 @@
 // Coconut-Tree run — a sequential write, exactly like an LSM level flush.
 // When the number of runs exceeds the configured threshold, all runs are
 // merged into one (tiered full compaction). Every run is already in invSAX
-// order, so the merge partitions the key space into chunks and merges the
-// chunks concurrently on the shared ThreadPool.
+// order, so compaction is one streaming k-way merge of the runs' leaf pages
+// into the bulk loader: sequential I/O, O(runs x leaf page) memory, and the
+// same bytes a full build over the raw file writes. A ShardedStore runs its
+// shards' compactions in parallel.
 //
 // A query (Search(snapshot, query, QuerySpec)) consults the buffer plus
 // every run through one k-NN collector: the memtable is scanned first, then
@@ -214,22 +216,15 @@ class CoconutForest {
   /// Flushes the memtable (the builds happen outside state_mu_; only the
   /// final run/memtable swap takes it exclusively).
   Status FlushWriterLocked() REQUIRES(writer_mu_);
-  /// Encodes, key-sorts, and bulk-loads the first `count` of `entries` as a
-  /// new run file, then opens it.
+  /// Encodes, stably key-sorts, and bulk-loads the first `count` of
+  /// `entries` as a new run file, then opens it.
   Status BuildRunWriterLocked(const std::vector<MemEntry>& entries,
                               size_t count, std::unique_ptr<CoconutTree>* run)
       REQUIRES(writer_mu_);
-  /// Full compaction. The heavy runs-merge is chunked over the shared
-  /// ThreadPool and asserts it never executes while this thread holds the
-  /// reader-visible state lock.
-  Status CompactWriterLocked() REQUIRES(writer_mu_);
-  /// Parallel k-way merge of the (sorted) leaf entries of `inputs` into one
-  /// contiguous sorted record buffer. Must not run under state_mu_ —
-  /// readers must never wait on a merge.
-  Status MergeRunsParallel(
-      const std::vector<std::shared_ptr<const CoconutTree>>& inputs,
-      std::vector<uint8_t>* out) const REQUIRES(writer_mu_)
-      EXCLUDES(state_mu_);
+  /// Full compaction: streams every run through MergedRunStream into
+  /// BulkLoad. Asserts the merge never executes while this thread holds
+  /// the reader-visible state lock — readers must never wait on a merge.
+  Status CompactWriterLocked() REQUIRES(writer_mu_) EXCLUDES(state_mu_);
   std::string RunPath(uint64_t id) const;
 
   /// Writer-path reads of reader-guarded state. writer_mu_ already excludes
@@ -289,8 +284,8 @@ class CoconutForest {
   std::vector<std::shared_ptr<const CoconutTree>> runs_
       GUARDED_BY(state_mu_);
   // Debug-only invariant tracking: true while this object's (single,
-  // writer_mu_-serialized) writer holds state_mu_ exclusively. Heavy merge
-  // work asserts this is false — readers must never wait on a merge.
+  // writer_mu_-serialized) writer holds state_mu_ exclusively. The
+  // compaction merge asserts this is false — readers must never wait on it.
   mutable std::atomic<bool> state_write_locked_{false};
 };
 

@@ -8,7 +8,9 @@
 
 #include "src/common/crc32c.h"
 #include "src/common/env.h"
+#include "src/exec/thread_pool.h"
 #include "src/obs/metrics.h"
+#include "src/sort/record_sort.h"
 #include "src/summary/invsax.h"
 
 namespace coconut {
@@ -82,9 +84,12 @@ Status CoconutTree::Open(const std::string& index_path,
       static_cast<unsigned>(tree->super_.cardinality_bits);
   tree->options_.leaf_capacity = tree->super_.leaf_capacity;
   tree->options_.materialized = tree->super_.materialized != 0;
-  tree->options_.fill_factor =
-      static_cast<double>(tree->super_.entries_per_leaf) /
-      static_cast<double>(tree->super_.leaf_capacity);
+  // Half an entry above the packed count, so that EntriesPerLeaf floors it
+  // back to exactly entries_per_leaf (entries / capacity may round to just
+  // below it) and MergeBatch rebuilds the layout Build wrote.
+  tree->options_.fill_factor = std::min(
+      1.0, (static_cast<double>(tree->super_.entries_per_leaf) + 0.5) /
+               static_cast<double>(tree->super_.leaf_capacity));
 
   COCONUT_RETURN_IF_ERROR(RawSeriesFile::Open(
       raw_path, tree->options_.summary.series_length, &tree->raw_file_));
@@ -272,6 +277,38 @@ bool MergedRunStream::EnsurePage(Cursor* c, Status* status) {
   return true;
 }
 
+Status CoconutTree::RebuildWithBatch(const std::vector<Series>& batch,
+                                     uint64_t first_offset) const {
+  // Encode and stably key-sort the new entries in memory (a batch is small
+  // relative to the index; the paper's update experiment bulk-loads
+  // arriving batches).
+  const SummaryOptions& sum = options_.summary;
+  const size_t entry_bytes = super_.entry_bytes;
+  std::vector<uint8_t> recs(batch.size() * entry_bytes);
+  const uint64_t series_bytes = sum.series_length * sizeof(Value);
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const ZKey key = InvSaxFromSeries(batch[i].data(), sum);
+    EncodeLeafEntry(key, first_offset + i * series_bytes,
+                    options_.materialized ? batch[i].data() : nullptr,
+                    sum.series_length, recs.data() + i * entry_bytes);
+  }
+  RecordSortSpec spec;
+  spec.base = recs.data();
+  spec.record_bytes = entry_bytes;
+  spec.key_bytes = ZKey::kBytes;
+  spec.count = batch.size();
+  spec.pool = options_.num_threads == 1 ? nullptr : ThreadPool::Shared();
+
+  // Sequentially merge the old leaves with the sorted batch into a new
+  // file; on equal keys the old entries, which come first in the raw file,
+  // stay first.
+  const std::string tmp_index = index_path_ + ".rebuild";
+  MergedRunStream stream({this}, entry_bytes, StableSortedCopy(spec));
+  COCONUT_RETURN_IF_ERROR(
+      CoconutTreeBuilder::BulkLoad(&stream, options_, tmp_index));
+  return RenameFile(tmp_index, index_path_);
+}
+
 Status CoconutTree::MergeBatch(const std::vector<Series>& batch) {
   if (batch.empty()) return Status::OK();
   const SummaryOptions& sum = options_.summary;
@@ -280,32 +317,20 @@ Status CoconutTree::MergeBatch(const std::vector<Series>& batch) {
       return Status::InvalidArgument("batch series length mismatch");
     }
   }
+  // Until the rebuilt index replaces the old one, a failure rolls the raw
+  // append back: the raw file must keep matching the index that serves it,
+  // or the next batch would be indexed at offsets past orphaned series.
   const uint64_t old_raw_bytes = raw_file_->size_bytes();
-  COCONUT_RETURN_IF_ERROR(AppendToDataset(raw_path_, batch));
-
-  // Encode and sort the new entries in memory (a batch is small relative to
-  // the index; the paper's update experiment bulk-loads arriving batches).
-  const size_t entry_bytes = super_.entry_bytes;
-  std::vector<uint8_t> recs(batch.size() * entry_bytes);
-  const uint64_t series_bytes = sum.series_length * sizeof(Value);
-  for (size_t i = 0; i < batch.size(); ++i) {
-    const ZKey key = InvSaxFromSeries(batch[i].data(), sum);
-    EncodeLeafEntry(key, old_raw_bytes + i * series_bytes,
-                    options_.materialized ? batch[i].data() : nullptr,
-                    sum.series_length, recs.data() + i * entry_bytes);
+  Status st = AppendToDataset(raw_path_, batch);
+  if (st.ok()) st = RebuildWithBatch(batch, old_raw_bytes);
+  if (!st.ok()) {
+    const Status undo = TruncateFile(raw_path_, old_raw_bytes);
+    return undo.ok() ? st
+                     : st.WithPrefix("raw append not rolled back (" +
+                                     undo.ToString() + "): ");
   }
-
-  // Sequentially merge old leaves with the sorted batch into a new file.
-  const std::string tmp_index = index_path_ + ".rebuild";
-  {
-    MergedRunStream stream(
-        {this}, entry_bytes,
-        CoconutTreeBuilder::SortByKey(std::move(recs), entry_bytes));
-    COCONUT_RETURN_IF_ERROR(
-        CoconutTreeBuilder::BulkLoad(&stream, options_, tmp_index));
-  }
-  COCONUT_RETURN_IF_ERROR(RenameFile(tmp_index, index_path_));
-  COCONUT_RETURN_IF_ERROR(RenameFile(tmp_index + ".sax", index_path_ + ".sax"));
+  COCONUT_RETURN_IF_ERROR(RenameFile(index_path_ + ".rebuild.sax",
+                                     index_path_ + ".sax"));
 
   // Refresh in-memory state from the rebuilt file.
   std::unique_ptr<CoconutTree> reopened;

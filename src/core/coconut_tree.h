@@ -96,7 +96,8 @@ class CoconutTree {
 
   /// Bulk-ingests a batch: appends the series to the raw dataset file and
   /// merge-rebuilds the index sequentially. The in-memory state is
-  /// refreshed. Not safe to run concurrently with queries on this object.
+  /// refreshed. A rebuild that fails truncates the appended series away
+  /// again. Not safe to run concurrently with queries on this object.
   Status MergeBatch(const std::vector<Series>& batch);
 
   // --- introspection (used by tests and the space-overhead benches) ---
@@ -126,6 +127,11 @@ class CoconutTree {
   CoconutTree() = default;
 
   Status LoadInternalLevels();
+  /// MergeBatch's rebuild: bulk-loads this tree's leaves merged with
+  /// `batch` (raw offsets from `first_offset`) and renames the result over
+  /// the index file, leaving its sidecar at `<index>.rebuild.sax`.
+  Status RebuildWithBatch(const std::vector<Series>& batch,
+                          uint64_t first_offset) const;
   /// Walks the in-memory internal levels; returns the leaf index whose key
   /// range covers `key`.
   uint64_t LocateLeaf(const ZKey& key) const;
@@ -198,10 +204,6 @@ class CoconutTreeBuilder {
   static Status Summarize(const std::string& raw_path,
                           const CoconutOptions& options,
                           ExternalSorter* sorter);
-
-  /// Sorts encoded leaf entries (tree_format.h) by key.
-  static std::vector<uint8_t> SortByKey(std::vector<uint8_t> records,
-                                        size_t entry_bytes);
 
   /// External-sort settings for the leaf entries of `options`.
   static ExternalSortOptions SortOptions(const CoconutOptions& options,

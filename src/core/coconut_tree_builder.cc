@@ -4,7 +4,6 @@
 // build the balanced tree bottom-up with sequential writes.
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 #include <vector>
 
 #include "src/common/crc32c.h"
@@ -177,24 +176,6 @@ Status CoconutTreeBuilder::BulkLoad(SortedRecordStream* stream,
   std::memcpy(sb.data(), &super, sizeof(super));
   COCONUT_RETURN_IF_ERROR(file->WriteAt(0, sb.data(), sb.size()));
   return file->Close();
-}
-
-std::vector<uint8_t> CoconutTreeBuilder::SortByKey(std::vector<uint8_t> records,
-                                                   size_t entry_bytes) {
-  const size_t count = records.size() / entry_bytes;
-  std::vector<uint32_t> order(count);
-  std::iota(order.begin(), order.end(), 0u);
-  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return std::memcmp(records.data() + size_t{a} * entry_bytes,
-                       records.data() + size_t{b} * entry_bytes,
-                       ZKey::kBytes) < 0;
-  });
-  std::vector<uint8_t> sorted(records.size());
-  for (size_t i = 0; i < count; ++i) {
-    std::memcpy(sorted.data() + i * entry_bytes,
-                records.data() + size_t{order[i]} * entry_bytes, entry_bytes);
-  }
-  return sorted;
 }
 
 ExternalSortOptions CoconutTreeBuilder::SortOptions(

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 
@@ -230,17 +229,6 @@ Status OpenDrainStream(const ExternalSortOptions& options, bool parallel,
   return Status::OK();
 }
 
-unsigned ResolveSortThreads(unsigned requested) {
-  if (const char* env = std::getenv("COCONUT_SORT_THREADS")) {
-    const unsigned long v = std::strtoul(env, nullptr, 10);
-    if (v > 0) {
-      requested = static_cast<unsigned>(
-          std::min<unsigned long>(v, std::numeric_limits<unsigned>::max()));
-    }
-  }
-  return requested;
-}
-
 }  // namespace
 
 std::string ExternalSorter::SpillPath(const char* kind) {
@@ -253,7 +241,7 @@ ExternalSorter::ExternalSorter(ExternalSortOptions options)
     : options_(std::move(options)) {
   static std::atomic<uint64_t> next_token{0};
   instance_token_ = next_token.fetch_add(1, std::memory_order_relaxed);
-  const unsigned requested = ResolveSortThreads(options_.num_threads);
+  const unsigned requested = options_.num_threads;
   if (requested == 1) {
     pool_ = nullptr;
     threads_ = 1;
@@ -381,7 +369,6 @@ Status ExternalSorter::SortAndWriteRun(const std::vector<uint8_t>& records,
     spec.record_bytes = options_.record_bytes;
     spec.key_bytes = options_.key_bytes;
     spec.count = count;
-    spec.use_radix = options_.use_radix;
     spec.pool = pool_;
     StableSortRecords(spec, &order);
   }
@@ -566,24 +553,8 @@ Status ExternalSorter::Finish(std::unique_ptr<SortedRecordStream>* out) {
     spec.record_bytes = options_.record_bytes;
     spec.key_bytes = options_.key_bytes;
     spec.count = count;
-    spec.use_radix = options_.use_radix;
     spec.pool = pool_;
-    std::vector<uint32_t> order;
-    StableSortRecords(spec, &order);
-    const size_t record_bytes = options_.record_bytes;
-    std::vector<uint8_t> sorted(count * record_bytes);
-    auto gather = [&](uint64_t lo, uint64_t hi) {
-      for (uint64_t i = lo; i < hi; ++i) {
-        std::memcpy(sorted.data() + i * record_bytes,
-                    buffer_.data() + size_t{order[i]} * record_bytes,
-                    record_bytes);
-      }
-    };
-    if (pool_ == nullptr) {
-      gather(0, count);
-    } else {
-      pool_->ParallelFor(0, count, 0, gather);
-    }
+    std::vector<uint8_t> sorted = StableSortedCopy(spec);
     buffer_.clear();
     buffer_.shrink_to_fit();
     *out = std::make_unique<MemoryStream>(std::move(sorted),

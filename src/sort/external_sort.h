@@ -26,9 +26,8 @@
 //
 // Determinism contract: every stage is stable by arrival order (in-buffer
 // sorts tie-break on arrival index, merges on run index), so the output is
-// the stable sort of the input stream — byte-identical across num_threads,
-// radix vs comparison sort, and any run/partition structure the budget
-// induces.
+// the stable sort of the input stream — byte-identical across num_threads
+// and any run/partition structure the budget induces.
 #ifndef COCONUT_SORT_EXTERNAL_SORT_H_
 #define COCONUT_SORT_EXTERNAL_SORT_H_
 
@@ -62,13 +61,8 @@ struct ExternalSortOptions {
   /// Sort/merge parallelism: 0 = the shared ThreadPool's size, 1 = fully
   /// serial in-place operation (no pool, no background I/O), > 1 = use the
   /// shared pool with this many key-range partitions / concurrent merges.
-  /// The COCONUT_SORT_THREADS environment variable, when set to a positive
-  /// integer, overrides this field. Output bytes never depend on it.
+  /// Output bytes never depend on it.
   unsigned num_threads = 0;
-  /// Run generation algorithm: MSD radix on the key bytes (default) or pure
-  /// comparison sort. Both are stable and produce identical output; the
-  /// switch exists for benchmarks and regression tests.
-  bool use_radix = true;
   /// Optional request context, polled at run/merge boundaries (run spill,
   /// merge-group start, final-merge partition start): a build driven by a
   /// caller with a deadline stops between stages with DeadlineExceeded /
@@ -154,10 +148,6 @@ class ExternalSorter {
   /// survivors.
   size_t spilled_runs() const { return generated_runs_; }
   uint64_t total_records() const { return total_records_; }
-
-  /// Resolved parallelism (after the COCONUT_SORT_THREADS override);
-  /// 1 means the serial path. Exposed for tests.
-  unsigned resolved_threads() const { return threads_; }
 
  private:
   Status SpillBuffer();

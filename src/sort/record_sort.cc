@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "src/exec/thread_pool.h"
-#include "src/sort/loser_tree.h"
 
 namespace coconut {
 
@@ -15,9 +14,14 @@ namespace {
 /// comparison sort of the remaining key tail.
 constexpr size_t kRadixFallbackCutoff = 64;
 
-/// Inputs smaller than this sort serially even when a pool is available:
-/// the parallel counting sort's extra passes only pay off at scale.
+/// Inputs smaller than this sort and gather serially even when a pool is
+/// available: the parallel passes only pay off at scale.
 constexpr size_t kParallelMinRecords = size_t{1} << 13;
+
+bool RunsParallel(const RecordSortSpec& spec) {
+  return spec.pool != nullptr && spec.pool->parallelism() > 1 &&
+         spec.count >= kParallelMinRecords;
+}
 
 struct Ctx {
   const uint8_t* base;
@@ -129,47 +133,6 @@ void ParallelRadixSort(const Ctx& c, ThreadPool* pool,
   });
 }
 
-/// Parallel comparison sort: contiguous chunks sorted concurrently, then a
-/// stable in-memory loser-tree merge. Ties merge by chunk order == arrival
-/// order, so the result equals the serial stable sort.
-void ParallelComparisonSort(const Ctx& c, ThreadPool* pool,
-                            std::vector<uint32_t>* idx,
-                            std::vector<uint32_t>* tmp) {
-  const size_t n = idx->size();
-  const size_t parts = std::min<size_t>(pool->parallelism(), (n + 1) / 2);
-  const size_t chunk = (n + parts - 1) / parts;
-  pool->ParallelFor(0, parts, 1, [&](uint64_t lo, uint64_t hi) {
-    for (uint64_t p = lo; p < hi; ++p) {
-      const size_t begin = p * chunk;
-      const size_t end = std::min(n, begin + chunk);
-      ComparisonSort(c, idx->data() + begin, end - begin, 0);
-    }
-  });
-  struct Cursor {
-    size_t pos, end;
-  };
-  std::vector<Cursor> cur(parts);
-  for (size_t p = 0; p < parts; ++p) {
-    cur[p] = {p * chunk, std::min(n, (p + 1) * chunk)};
-  }
-  const uint32_t* in = idx->data();
-  auto less = [&](size_t a, size_t b) {
-    if (cur[a].pos >= cur[a].end) return false;
-    if (cur[b].pos >= cur[b].end) return true;
-    const uint32_t ia = in[cur[a].pos], ib = in[cur[b].pos];
-    const int cmp = std::memcmp(c.key(ia), c.key(ib), c.key_bytes);
-    if (cmp != 0) return cmp < 0;
-    return ia < ib;
-  };
-  LoserTree<decltype(less)> lt(parts, less);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t w = lt.winner();
-    (*tmp)[i] = in[cur[w].pos++];
-    lt.Replay();
-  }
-  idx->swap(*tmp);
-}
-
 }  // namespace
 
 void StableSortRecords(const RecordSortSpec& spec,
@@ -179,22 +142,30 @@ void StableSortRecords(const RecordSortSpec& spec,
   if (spec.count <= 1) return;
   const Ctx c{spec.base, spec.record_bytes, spec.key_bytes};
   std::vector<uint32_t> tmp(spec.count);
-  const bool parallel = spec.pool != nullptr &&
-                        spec.pool->parallelism() > 1 &&
-                        spec.count >= kParallelMinRecords;
-  if (spec.use_radix) {
-    if (parallel) {
-      ParallelRadixSort(c, spec.pool, order, &tmp);
-    } else {
-      RadixSort(c, order->data(), tmp.data(), spec.count, 0);
-    }
+  if (RunsParallel(spec)) {
+    ParallelRadixSort(c, spec.pool, order, &tmp);
   } else {
-    if (parallel) {
-      ParallelComparisonSort(c, spec.pool, order, &tmp);
-    } else {
-      ComparisonSort(c, order->data(), spec.count, 0);
-    }
+    RadixSort(c, order->data(), tmp.data(), spec.count, 0);
   }
+}
+
+std::vector<uint8_t> StableSortedCopy(const RecordSortSpec& spec) {
+  std::vector<uint32_t> order;
+  StableSortRecords(spec, &order);
+  const size_t record_bytes = spec.record_bytes;
+  std::vector<uint8_t> sorted(spec.count * record_bytes);
+  const auto gather = [&](uint64_t lo, uint64_t hi) {
+    for (uint64_t i = lo; i < hi; ++i) {
+      std::memcpy(sorted.data() + i * record_bytes,
+                  spec.base + size_t{order[i]} * record_bytes, record_bytes);
+    }
+  };
+  if (RunsParallel(spec)) {
+    spec.pool->ParallelFor(0, spec.count, 0, gather);
+  } else {
+    gather(0, spec.count);
+  }
+  return sorted;
 }
 
 }  // namespace coconut

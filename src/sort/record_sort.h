@@ -4,29 +4,26 @@
 // The sort produces an index permutation rather than moving records: for
 // 40-byte (invSAX, position) entries the 4-byte indices are an order of
 // magnitude cheaper to shuffle, and the caller materializes the order once
-// while writing the run. Two algorithms share the contract:
+// while writing the run (or through StableSortedCopy).
 //
-//  * MSD radix (default): counting sort on the leading key bytes, one byte
-//    per level, falling back to comparison sort for small buckets and for
-//    whatever key tail the radix levels have not consumed. invSAX zkeys are
-//    fixed-width and SerializeBE makes memcmp order equal numeric order, so
-//    byte-at-a-time bucketing is exact, never approximate.
-//  * Comparison (use_radix = false): std::sort with a (key, index)
-//    comparator. Kept as the baseline for benchmarks and as the fallback
-//    inside radix buckets.
+// The algorithm is an MSD radix sort: counting sort on the leading key
+// bytes, one byte per level, falling back to a comparison sort for small
+// buckets and for whatever key tail the radix levels have not consumed.
+// invSAX zkeys are fixed-width and SerializeBE makes memcmp order equal
+// numeric order, so byte-at-a-time bucketing is exact, never approximate.
 //
-// Both are *stable*: records with equal keys keep their arrival order
+// The sort is *stable*: records with equal keys keep their arrival order
 // (ties break on the record index). Stability is what makes the whole
 // external sort deterministic — the final output equals the stable sort of
 // the input stream no matter how records were cut into runs or how many
 // threads sorted them — so the parallel sorter can promise byte-identical
-// output to the serial one.
+// output to the serial one, and a flushed forest run orders equal keys by
+// raw offset exactly as a full build does.
 //
 // With a ThreadPool the top radix level runs as a chunked parallel counting
 // sort (per-chunk histograms, prefix-summed scatter offsets, so stability is
-// preserved) and the 256 buckets then sort concurrently; the comparison
-// path sorts contiguous chunks in parallel and merges them with a stable
-// loser tree. pool == nullptr (or small inputs) runs fully serial.
+// preserved) and the 256 buckets then sort concurrently. pool == nullptr
+// (or small inputs) runs fully serial.
 #ifndef COCONUT_SORT_RECORD_SORT_H_
 #define COCONUT_SORT_RECORD_SORT_H_
 
@@ -43,7 +40,6 @@ struct RecordSortSpec {
   size_t record_bytes = 0;
   size_t key_bytes = 0;  // memcmp prefix defining the order
   size_t count = 0;
-  bool use_radix = true;
   ThreadPool* pool = nullptr;  // nullptr = serial
 };
 
@@ -51,6 +47,10 @@ struct RecordSortSpec {
 /// iterating order[] visits records in (key, arrival index) order.
 void StableSortRecords(const RecordSortSpec& spec,
                        std::vector<uint32_t>* order);
+
+/// The records of `spec` copied out in StableSortRecords order (the copy
+/// runs on spec.pool when the sort does).
+std::vector<uint8_t> StableSortedCopy(const RecordSortSpec& spec);
 
 }  // namespace coconut
 

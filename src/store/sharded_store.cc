@@ -628,10 +628,8 @@ Status ShardedStore::Flush(const Context& ctx) {
 }
 
 Status ShardedStore::CompactAll(const Context& ctx) {
-  // Level 1 of parallel compaction: independent shards compact
-  // concurrently. Level 2 happens inside each shard, where the runs-merge
-  // is chunked over the same pool (nested ParallelFor is deadlock-free by
-  // caller participation).
+  // Independent shards compact concurrently, each with one streaming
+  // merge of its runs.
   MutexLock commit_lock(&commit_mu_);
   COCONUT_RETURN_IF_ERROR(PoisonStatus());
   COCONUT_RETURN_IF_ERROR(QuarantineWriteCheck());

@@ -17,10 +17,9 @@
 // per shard and the sub-batches staged concurrently through the shared
 // ThreadPool's ParallelFor (the calling thread runs every sub-batch no idle
 // worker has claimed, so a saturated pool degrades to serial execution,
-// never deadlock). Each shard compacts independently — CompactAll runs the
-// per-shard compactions concurrently, and within one shard the runs-merge
-// is itself chunked over the pool (CoconutForest::MergeRunsParallel) — the
-// two levels of parallel compaction.
+// never deadlock). Each shard compacts independently, with one streaming
+// merge of its runs into the bulk loader; CompactAll runs the shards'
+// compactions in parallel.
 //
 // Every batch is ATOMIC and crash-consistent (the group-commit epoch
 // protocol, see src/store/README.md and journal.h), whether it touches one
@@ -199,8 +198,8 @@ class ShardedStore {
   /// skips the manifest re-commit.
   Status Flush(const Context& ctx = Context::Background());
 
-  /// Compacts every shard to a single run. Shards compact concurrently and
-  /// each shard's runs-merge is itself parallel — see CoconutForest. `ctx`
+  /// Compacts every shard to a single run. Shards compact concurrently,
+  /// each with one streaming merge of its runs — see CoconutForest. `ctx`
   /// is polled per shard, like Flush.
   Status CompactAll(const Context& ctx = Context::Background());
 

@@ -13,6 +13,7 @@ namespace coconut {
 namespace {
 
 using testing::BruteForceNn;
+using testing::FileBytes;
 using testing::MakeDatasetFile;
 using testing::ScratchDir;
 
@@ -214,9 +215,9 @@ TEST(CoconutForest, MaterializedRunsWork) {
 }
 
 TEST(CoconutForest, CompactionFallsBackToStreamingMergeUnderTightBudget) {
-  // Materialized leaf entries embed the raw series, so a tight memory
-  // budget routes compaction through the streaming k-way merge instead of
-  // the in-memory parallel merge. Results must stay exact either way.
+  // Materialized leaf entries embed the raw series. Compaction streams
+  // them page by page through the k-way merge at any budget, so the
+  // minimum budget must still compact 2,400 of them and stay exact.
   ScratchDir dir;
   ForestOptions opts = SmallForest(dir, /*materialized=*/true);
   opts.tree.memory_budget_bytes = 1024 * 1024;  // minimum allowed
@@ -227,8 +228,8 @@ TEST(CoconutForest, CompactionFallsBackToStreamingMergeUnderTightBudget) {
   auto gen = MakeGenerator(DatasetKind::kRandomWalk, 64, 78);
   std::vector<Series> data;
   for (int i = 0; i < 2400; ++i) data.push_back(gen->NextSeries());
-  // 2400 entries x 296 bytes x 2 > 1 MiB: the merge must take the
-  // streaming path.
+  // 2400 entries x 296 bytes x 2 > 1 MiB: more than the budget would hold
+  // if the runs were merged in memory.
   ASSERT_OK(forest->InsertBatch(data));
   ASSERT_OK(forest->CompactAll());
   EXPECT_EQ(forest->num_runs(), 1u);
@@ -241,6 +242,70 @@ TEST(CoconutForest, CompactionFallsBackToStreamingMergeUnderTightBudget) {
                              {.mode = QuerySpec::Mode::kExact}, &r));
     EXPECT_NEAR(r.distance, bf_dist, 1e-4);
     (void)bf_idx;
+  }
+}
+
+// A compacted forest holds the index a full build over its raw file writes,
+// byte for byte: flushes sort their memtable stably and compaction merges
+// the runs in raw order, so every key tie resolves by raw offset, as the
+// build's external sort resolves it. With 250-series batches every memtable
+// holds about 150 copies of one series in the duplicates case. Staged
+// batches this size are pre-built as runs while the memtable still holds
+// older series, the way a store commits a large slice.
+TEST(CoconutForest, CompactedRunEqualsFullBuild) {
+  struct Case {
+    const char* name;
+    size_t memory_budget_bytes;
+    unsigned num_threads;
+    bool materialized;
+    bool duplicates;
+    bool staged = false;
+  };
+  const size_t kDefaultBudget = CoconutOptions().memory_budget_bytes;
+  const Case cases[] = {
+      {"default budget", kDefaultBudget, 0, false, false},
+      {"default budget, 1 thread", kDefaultBudget, 1, false, false},
+      {"1 MiB", 1 << 20, 0, false, false},
+      {"1 MiB, 1 thread", 1 << 20, 1, false, false},
+      {"1 MiB, materialized (the build spills)", 1 << 20, 0, true, false},
+      {"copies of one series", kDefaultBudget, 0, false, true},
+      {"copies of one series, materialized", 1 << 20, 1, true, true},
+      {"copies of one series, staged", kDefaultBudget, 0, false, true, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ScratchDir dir;
+    ForestOptions opts = SmallForest(dir, c.materialized);
+    opts.tree.memory_budget_bytes = c.memory_budget_bytes;
+    opts.tree.num_threads = c.num_threads;
+    const std::string raw = dir.File("data.bin");
+    MakeDatasetFile(raw, DatasetKind::kRandomWalk, 500, 64, 81);
+    std::unique_ptr<CoconutForest> forest;
+    ASSERT_OK(CoconutForest::Open(raw, dir.File("forest"), opts, &forest));
+    auto gen = MakeGenerator(DatasetKind::kRandomWalk, 64, 82);
+    const Series copy = gen->NextSeries();
+    for (int b = 0; b < 8; ++b) {
+      std::vector<Series> batch;
+      for (int i = 0; i < 250; ++i) {
+        batch.push_back(c.duplicates && i % 4 != 0 ? copy : gen->NextSeries());
+      }
+      if (c.staged && b % 2 == 1) {
+        CoconutForest::StagedBatch staged;
+        ASSERT_OK(forest->StageBatch(batch, &staged));
+        ASSERT_OK(forest->PublishStaged(std::move(staged)));
+        ASSERT_OK(forest->CompactIfNeeded());
+      } else {
+        ASSERT_OK(forest->InsertBatch(batch));
+      }
+    }
+    ASSERT_OK(forest->CompactAll());
+    const CoconutForest::Snapshot snap = forest->GetSnapshot();
+    ASSERT_EQ(snap.runs.size(), 1u);
+    const std::string& run = snap.runs[0]->index_path();
+    const std::string full = dir.File("full.ctree");
+    ASSERT_OK(CoconutTree::Build(raw, full, opts.tree));
+    EXPECT_TRUE(FileBytes(run) == FileBytes(full));
+    EXPECT_TRUE(FileBytes(run + ".sax") == FileBytes(full + ".sax"));
   }
 }
 

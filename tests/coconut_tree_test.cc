@@ -267,6 +267,95 @@ TEST_F(CoconutTreeStructureTest, MergeBatchMaterialized) {
   EXPECT_NEAR(result.distance, bf_dist, 1e-4);
 }
 
+// A rebuild that fails after the raw append must not leave the batch's
+// series in the raw file: the next batch would be indexed at offsets past
+// them and point into the orphaned series.
+TEST_F(CoconutTreeStructureTest, FailedMergeBatchRollsBackTheRawAppend) {
+  BuildSmall(1000, 100, 1.0);
+  auto gen = MakeGenerator(DatasetKind::kRandomWalk, 64, 35);
+  std::vector<Series> first, second;
+  for (int i = 0; i < 300; ++i) first.push_back(gen->NextSeries());
+  for (int i = 0; i < 300; ++i) second.push_back(gen->NextSeries());
+  // A directory where the rebuild writes its new index makes it fail.
+  ASSERT_OK(MakeDirs(index_ + ".rebuild"));
+  EXPECT_FALSE(tree_->MergeBatch(first).ok());
+  uint64_t raw_bytes = 0;
+  ASSERT_OK(FileSize(raw_, &raw_bytes));
+  EXPECT_EQ(raw_bytes, 1000u * 64 * sizeof(Value));
+  EXPECT_EQ(tree_->num_entries(), 1000u);
+  ASSERT_OK(RemoveAll(index_ + ".rebuild"));
+
+  ASSERT_OK(tree_->MergeBatch(second));
+  EXPECT_EQ(tree_->num_entries(), 1300u);
+  for (size_t i = 0; i < second.size(); ++i) {
+    SearchResult result;
+    ASSERT_OK(tree_->Search(second[i].data(),
+                            {.mode = QuerySpec::Mode::kExact}, &result));
+    EXPECT_EQ(result.distance, 0.0) << "series " << i;
+    EXPECT_EQ(result.offset, (1000 + i) * 64 * sizeof(Value)) << "series " << i;
+  }
+}
+
+// Build over a prefix of a dataset, then MergeBatch of the rest, writes the
+// index and sidecar a Build over all of it writes, byte for byte: the batch
+// sorts stably and merges after the old leaves on equal keys, the raw-offset
+// order of the build's external sort. The batches repeat one new series and
+// one already-indexed series, so keys tie inside a batch and across it. A
+// partly filled leaf layout must survive the reopen MergeBatch rebuilds from:
+// 44 x 0.69 packs 30 entries, and 30 / 44 x 44 is just below 30 in doubles.
+TEST(CoconutTreeMergeBatch, EqualsFullBuild) {
+  struct Case {
+    bool materialized;
+    size_t leaf_capacity;
+    double fill_factor;
+  };
+  for (const Case& c : {Case{false, 100, 1.0}, Case{true, 100, 1.0},
+                        Case{false, 44, 0.69}}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "materialized=" << c.materialized
+                 << " leaf_capacity=" << c.leaf_capacity
+                 << " fill_factor=" << c.fill_factor);
+    ScratchDir dir;
+    auto gen = MakeGenerator(DatasetKind::kRandomWalk, 64, 41);
+    std::vector<Series> prefix;
+    for (int i = 0; i < 1000; ++i) prefix.push_back(gen->NextSeries());
+    const Series copy = gen->NextSeries();
+    std::vector<std::vector<Series>> batches(2);
+    for (int i = 0; i < 300; ++i) {
+      batches[0].push_back(i % 3 == 0 ? gen->NextSeries() : copy);
+    }
+    for (int i = 0; i < 200; ++i) {
+      batches[1].push_back(i % 2 == 0 ? prefix[7] : gen->NextSeries());
+    }
+    CoconutOptions opts;
+    opts.summary.series_length = 64;
+    opts.summary.segments = 16;
+    opts.leaf_capacity = c.leaf_capacity;
+    opts.fill_factor = c.fill_factor;
+    opts.materialized = c.materialized;
+    opts.tmp_dir = dir.path();
+
+    const std::string grown_raw = dir.File("grown.bin");
+    const std::string grown = dir.File("grown.ctree");
+    ASSERT_OK(AppendToDataset(grown_raw, prefix));
+    ASSERT_OK(CoconutTree::Build(grown_raw, grown, opts));
+    std::unique_ptr<CoconutTree> tree;
+    ASSERT_OK(CoconutTree::Open(grown, grown_raw, &tree));
+    for (const auto& batch : batches) ASSERT_OK(tree->MergeBatch(batch));
+
+    const std::string full_raw = dir.File("full.bin");
+    const std::string full = dir.File("full.ctree");
+    ASSERT_OK(AppendToDataset(full_raw, prefix));
+    for (const auto& batch : batches) {
+      ASSERT_OK(AppendToDataset(full_raw, batch));
+    }
+    ASSERT_OK(CoconutTree::Build(full_raw, full, opts));
+    EXPECT_TRUE(testing::FileBytes(grown) == testing::FileBytes(full));
+    EXPECT_TRUE(testing::FileBytes(grown + ".sax") ==
+                testing::FileBytes(full + ".sax"));
+  }
+}
+
 // Approximate search fetches only the window entries whose lower bound
 // beats the k-th best: from the raw file by offset when the tree is not
 // materialized (no leaf page is read), from at most the window's pages when

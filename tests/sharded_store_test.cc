@@ -1565,7 +1565,7 @@ TEST(ShardedStoreConcurrency, ReadersAndEngineStayConsistentUnderIngest) {
   };
 
   // Writer: batches split across shards and inserted concurrently; every
-  // few waves force a store-wide flush or two-level parallel compaction.
+  // few waves force a store-wide flush or a compaction of every shard.
   std::thread writer([&]() {
     const size_t kBatch = 40;
     for (size_t base = 0; base < kTotal; base += kBatch) {

@@ -115,12 +115,17 @@ void WriteDyadicWalk(const std::string& path, size_t count, size_t length) {
   ASSERT_OK(w.Finish());
 }
 
-uint32_t FileCrc(const std::string& path) {
+std::vector<uint8_t> FileBytes(const std::string& path) {
   std::unique_ptr<RandomAccessFile> file;
   EXPECT_OK(RandomAccessFile::Open(path, &file));
-  if (file == nullptr) return 0;
+  if (file == nullptr) return {};
   std::vector<uint8_t> bytes(file->size());
   EXPECT_OK(file->Read(0, bytes.size(), bytes.data()));
+  return bytes;
+}
+
+uint32_t FileCrc(const std::string& path) {
+  const std::vector<uint8_t> bytes = FileBytes(path);
   return crc32c::Value(bytes.data(), bytes.size());
 }
 

@@ -5,6 +5,7 @@
 #define COCONUT_TESTS_TEST_UTIL_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
@@ -75,6 +76,9 @@ size_t CountSharingSaxWord(const std::vector<Series>& data,
 /// them a build's bytes, are the same on every SIMD backend and standard
 /// library. The build golden tests index this dataset.
 void WriteDyadicWalk(const std::string& path, size_t count, size_t length);
+
+/// The whole file at `path` (empty after a failed read).
+std::vector<uint8_t> FileBytes(const std::string& path);
 
 /// CRC32C of the whole file at `path` (0 after a failed read).
 uint32_t FileCrc(const std::string& path);
